@@ -21,9 +21,17 @@ import numpy as np
 
 from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_out_dir, with_seed
-from .errors import ConfigError, PortlabError
+from .errors import ConfigError, ModelFormatError, PortlabError
 from .market_data import DateSplit, forward_fill, load_prices, split_by_date
-from .rl import evaluate, load_qnetwork, save_qnetwork, train, write_training_log
+from .rl import (
+    evaluate,
+    feature_dim,
+    load_qnetwork,
+    num_actions,
+    save_qnetwork,
+    train,
+    write_training_log,
+)
 
 
 def cmd_mvp(config: RunConfig) -> None:
@@ -99,6 +107,12 @@ def cmd_rl_eval(config: RunConfig) -> None:
     if not model_path.exists():
         raise PortlabError(f"no trained model at {model_path}; run rl-train first")
     net = load_qnetwork(model_path)
+    n = len(data.tickers)
+    if (net.n_inputs, net.n_outputs) != (feature_dim(n), num_actions(n)):
+        raise ModelFormatError(
+            f"{model_path}: model maps {net.n_inputs} inputs to {net.n_outputs} "
+            f"actions; {n} assets need {feature_dim(n)} and {num_actions(n)}"
+        )
 
     schedule, curve, _ = evaluate(net, data.test_returns, config.rl)
     _write_curve_csv(curve, out / "rl_curve.csv")

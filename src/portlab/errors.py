@@ -56,3 +56,7 @@ class EmptyScheduleError(PortlabError):
 
 class ConfigError(PortlabError):
     """A run-config file is missing a required key or has a bad value."""
+
+
+class ModelFormatError(PortlabError):
+    """A saved model file is malformed or does not fit the configured assets."""

@@ -2,7 +2,11 @@
 
 Training is strictly sequential and bit-reproducible: one generator
 seeded from the hyperparameters drives network init, exploration, and
-replay sampling in a fixed order.
+replay sampling in a fixed order. Each :func:`train` and
+:func:`evaluate` call builds one :class:`~.env.FeatureTable` for its
+return table, so every correlation window is computed once per call.
+Transitions live in preallocated arrays inside :class:`ReplayBuffer`
+and reach the network as a :class:`ReplayBatch` of arrays.
 """
 
 from __future__ import annotations
@@ -11,55 +15,77 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..analytics import CumulativeCurve, ReturnTable, cumulative_returns
 from ..backtest import WeightSchedule
-from .env import annualized_sharpe, env_reset, env_step, state_features
+from .env import FeatureTable, annualized_sharpe, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
 from .params import Hyperparams
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One environment step, stored as feature vectors."""
+class ReplayBatch(NamedTuple):
+    """Sampled transitions, one row per draw."""
 
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
-            raise ValueError("reward must be finite")
+    states: np.ndarray  # (batch, feature_dim) float
+    actions: np.ndarray  # (batch,) int
+    rewards: np.ndarray  # (batch,) float
+    next_states: np.ndarray  # (batch, feature_dim) float
+    dones: np.ndarray  # (batch,) bool
 
 
 class ReplayBuffer:
-    """Bounded transition store with ring semantics: oldest evicted first."""
+    """Bounded transition store with ring semantics: oldest evicted first.
 
-    def __init__(self, capacity: int):
+    Transitions are kept in preallocated arrays, one row per slot; push
+    number ``p`` (from 0) writes slot ``p % capacity``. The arrays are
+    allocated uninitialised, so only the slots written so far touch memory.
+    """
+
+    def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._cursor = 0
+        self._states = np.empty((capacity, state_dim))
+        self._actions = np.empty(capacity, dtype=int)
+        self._rewards = np.empty(capacity)
+        self._next_states = np.empty((capacity, state_dim))
+        self._dones = np.empty(capacity, dtype=bool)
+        self._pushes = 0
 
-    def push(self, transition: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self.capacity
+    def push(
+        self,
+        state: np.ndarray,
+        action: int,
+        reward: float,
+        next_state: np.ndarray,
+        done: bool,
+    ) -> None:
+        if not math.isfinite(reward):
+            raise ValueError("reward must be finite")
+        slot = self._pushes % self.capacity
+        self._states[slot] = state
+        self._actions[slot] = action
+        self._rewards[slot] = reward
+        self._next_states[slot] = next_state
+        self._dones[slot] = done
+        self._pushes += 1
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._pushes, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> list[Transition]:
+    def sample(self, rng: np.random.Generator, batch_size: int) -> ReplayBatch:
         """Uniform sample with replacement."""
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+        idx = rng.integers(0, len(self), size=batch_size)
+        return ReplayBatch(
+            self._states[idx],
+            self._actions[idx],
+            self._rewards[idx],
+            self._next_states[idx],
+            self._dones[idx],
+        )
 
 
 def epsilon_greedy(qvals: np.ndarray, eps: float, rng: np.random.Generator) -> int:
@@ -88,27 +114,29 @@ def train(
     and once the buffer holds a batch do one gradient step per environment
     step on a uniformly sampled batch. Epsilon decays multiplicatively per
     episode down to ``eps_min``. With ``episodes=0`` the freshly
-    initialized network is returned untouched.
+    initialized network is returned untouched. A table too short for one
+    step raises :class:`~portlab.errors.InsufficientDataError`, whatever
+    the episode count.
     """
+    table = FeatureTable(returns_train, hp)
     rng = np.random.default_rng(hp.seed)
     net = qnet_init(returns_train.n_assets, hp, rng=rng)
-    buffer = ReplayBuffer(hp.replay_capacity)
+    buffer = ReplayBuffer(hp.replay_capacity, net.n_inputs)
     eps = hp.eps_start
     log: list[EpisodeStats] = []
     global_step = 0
 
     for episode in range(hp.episodes):
-        state = env_reset(returns_train, hp)
+        state = env_reset(table, hp)
+        features = state_features(state)
         cum_reward = 0.0
         losses: list[float] = []
         done = False
         while not done:
-            features = state_features(state)
             action = epsilon_greedy(qnet_forward(net, features), eps, rng)
-            next_state, reward, done = env_step(state, action, returns_train, hp)
-            buffer.push(
-                Transition(features, action, reward, state_features(next_state), done)
-            )
+            next_state, reward, done = env_step(state, action, table, hp)
+            next_features = state_features(next_state)
+            buffer.push(features, action, reward, next_features, done)
             cum_reward += reward
             if len(buffer) >= hp.batch_size:
                 batch = buffer.sample(rng, hp.batch_size)
@@ -116,7 +144,7 @@ def train(
                 losses.append(
                     qnet_train_step(net, batch, targets, hp.learning_rate, step=global_step)
                 )
-            state = next_state
+            state, features = next_state, next_features
             global_step += 1
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
@@ -138,12 +166,13 @@ def evaluate(
     """
     n_rows, n_assets = returns_test.values.shape
     weights = np.empty((n_rows, n_assets))
-    state = env_reset(returns_test, hp)
+    table = FeatureTable(returns_test, hp)
+    state = env_reset(table, hp)
     weights[: state.t] = state.weights
     done = False
     while not done:
         action = int(np.argmax(qnet_forward(net, state_features(state))))
-        next_state, _, done = env_step(state, action, returns_test, hp)
+        next_state, _, done = env_step(state, action, table, hp)
         weights[state.t : next_state.t] = next_state.weights
         state = next_state
     weights[state.t :] = state.weights

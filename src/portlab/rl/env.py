@@ -6,6 +6,11 @@ property needs the weights since actions adjust them. Actions nudge one
 asset's weight by ``step_delta`` (buy/sell) or leave it alone (hold);
 the reward is the annualized Sharpe ratio (risk-free 0) of the portfolio
 over the days the adjusted weights were held.
+
+A rollout visits ``t = window, window + rebalance_period, ...`` whatever
+actions it takes, so the correlation features depend only on ``t``. A
+:class:`FeatureTable` computes them once per return table;
+:func:`env_reset` and :func:`env_step` read them from it.
 """
 
 from __future__ import annotations
@@ -84,31 +89,59 @@ def apply_action(weights: np.ndarray, action: int, delta: float) -> np.ndarray:
     return adjusted / adjusted.sum()
 
 
-def env_reset(returns: ReturnTable, hp: Hyperparams) -> EnvState:
-    """Initial state: equal weights, features from the first ``window`` rows."""
-    if returns.n_rows <= hp.window + hp.rebalance_period:
-        raise InsufficientDataError(
-            f"need more than window + rebalance_period = "
-            f"{hp.window + hp.rebalance_period} return rows, got {returns.n_rows}"
+class FeatureTable:
+    """Correlation features at every time index a rollout visits.
+
+    Row ``k`` holds the upper triangle (``k=1``, row-major) of the
+    correlation matrix of ``returns.values[t - window : t]`` for
+    ``t = window + k * rebalance_period``, up to ``t <= n_rows``.
+    """
+
+    def __init__(self, returns: ReturnTable, hp: Hyperparams):
+        if returns.n_rows <= hp.window + hp.rebalance_period:
+            raise InsufficientDataError(
+                f"need more than window + rebalance_period = "
+                f"{hp.window + hp.rebalance_period} return rows, got {returns.n_rows}"
+            )
+        self.returns = returns
+        self.window = hp.window
+        self.period = hp.rebalance_period
+        iu = np.triu_indices(returns.n_assets, k=1)
+        self.values = np.stack(
+            [
+                correlation_values(returns.values[t - hp.window : t])[iu]
+                for t in range(hp.window, returns.n_rows + 1, hp.rebalance_period)
+            ]
         )
-    n = returns.n_assets
+
+    def at(self, t: int) -> np.ndarray:
+        """Features of the window ending just before row ``t``."""
+        k, off = divmod(t - self.window, self.period)
+        if off or not 0 <= k < self.values.shape[0]:
+            raise ValueError(f"t={t} is not a time index this table covers")
+        return self.values[k]
+
+
+def env_reset(table: FeatureTable, hp: Hyperparams) -> EnvState:
+    """Initial state: equal weights, features from the first ``window`` rows."""
+    n = table.returns.n_assets
     weights = np.full(n, 1.0 / n)
-    features = _corr_features(returns.values[: hp.window])
-    return EnvState(features, weights, hp.window)
+    return EnvState(table.at(hp.window), weights, hp.window)
 
 
 def env_step(
     state: EnvState,
     action: int,
-    returns: ReturnTable,
+    table: FeatureTable,
     hp: Hyperparams,
 ) -> tuple[EnvState, float, bool]:
     """Apply an action, hold the weights for ``rebalance_period`` days, score them.
 
-    Returns the next state (time advanced, correlation window refreshed),
-    the annualized Sharpe reward over the held days, and whether fewer
-    than ``rebalance_period`` days remain afterwards.
+    Returns the next state (time advanced, correlation features read from
+    ``table``), the annualized Sharpe reward over the held days, and
+    whether fewer than ``rebalance_period`` days remain afterwards.
     """
+    returns = table.returns
     t = state.t
     if t + hp.rebalance_period > returns.n_rows:
         raise InsufficientDataError(
@@ -119,9 +152,8 @@ def env_step(
     reward = annualized_sharpe(held)
 
     t_next = t + hp.rebalance_period
-    features = _corr_features(returns.values[t_next - hp.window : t_next])
     done = (returns.n_rows - t_next) < hp.rebalance_period
-    return EnvState(features, weights, t_next), reward, done
+    return EnvState(table.at(t_next), weights, t_next), reward, done
 
 
 def annualized_sharpe(
@@ -137,9 +169,3 @@ def annualized_sharpe(
     std = float(daily.std(ddof=1)) if daily.shape[0] >= 2 else 0.0
     vol = max(std * math.sqrt(trading_days), VOL_FLOOR)
     return mean / vol
-
-
-def _corr_features(window_returns: np.ndarray) -> np.ndarray:
-    corr = correlation_values(window_returns)
-    iu = np.triu_indices(corr.shape[0], k=1)
-    return corr[iu]

@@ -14,12 +14,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError
+from ..errors import DivergenceError, ModelFormatError
 from .env import feature_dim, num_actions
 from .params import Hyperparams
 
 if TYPE_CHECKING:
-    from .agent import Transition
+    from .agent import ReplayBatch
 
 
 class QNetwork:
@@ -112,35 +112,39 @@ def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> 
     """Bellman backup for one transition: ``r + gamma * max_a' Q(s', a')``.
 
     Terminal transitions bootstrap nothing and return the reward alone.
-    The same rule drives both DQN targets and the tabular convergence check.
+    :func:`td_targets` applies the same rule to a DQN batch; the tabular
+    convergence check calls this scalar form.
     """
     if done:
         return float(reward)
     return float(reward + discount * max_next_q)
 
 
-def td_targets(
-    batch: Sequence[Transition], net: QNetwork, discount: float
-) -> np.ndarray:
-    """TD target per transition, bootstrapping from ``net`` on the next states."""
-    next_features = np.stack([t.next_state for t in batch])
-    max_next = _forward_batch(net, next_features).max(axis=1)
-    return np.array(
-        [td_target(t.reward, discount, m, t.done) for t, m in zip(batch, max_next)]
-    )
+def td_targets(batch: ReplayBatch, net: QNetwork, discount: float) -> np.ndarray:
+    """TD target per batch row, bootstrapping from ``net`` on the next states.
+
+    The vectorized form of :func:`td_target`: done rows take the reward
+    alone, the others ``reward + discount * max_a' Q(next_state, a')``.
+    """
+    max_next = _forward_batch(net, batch.next_states).max(axis=1)
+    return np.where(batch.dones, batch.rewards, batch.rewards + discount * max_next)
 
 
 def qnet_train_step(
     net: QNetwork,
-    batch: Sequence[Transition],
+    batch: ReplayBatch,
     targets: np.ndarray,
     learning_rate: float,
     step: int | None = None,
 ) -> float:
-    """One gradient-descent update toward the targets; returns the pre-update loss."""
-    x = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=int)
-    loss, grad_w, grad_b = _loss_and_grads(net, x, actions, np.asarray(targets, float))
+    """One gradient-descent update toward the targets; returns the pre-update loss.
+
+    Reads the batch's ``states`` and ``actions`` arrays; ``targets`` has
+    one entry per batch row.
+    """
+    loss, grad_w, grad_b = _loss_and_grads(
+        net, batch.states, batch.actions, np.asarray(targets, float)
+    )
     if not np.isfinite(loss):
         where = "" if step is None else f" at step {step}"
         raise DivergenceError(f"non-finite training loss{where}")
@@ -187,18 +191,38 @@ def save_qnetwork(net: QNetwork, path: str | Path) -> None:
 
 
 def load_qnetwork(path: str | Path) -> QNetwork:
-    """Inverse of :func:`save_qnetwork`; exact round-trip of parameters."""
+    """Inverse of :func:`save_qnetwork`; exact round-trip of parameters.
+
+    Raises :class:`ModelFormatError` when the file is not a complete,
+    well-formed saved network.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("qnetwork "):
-        raise ValueError(f"{path}: not a saved q-network")
-    dims = [int(tok) for tok in text[0].split()[1:]]
-    if len(dims) < 2:
-        raise ValueError(f"{path}: need at least input and output dims")
-    values = iter(text[1:])
+        raise ModelFormatError(f"{path}: not a saved q-network")
+    try:
+        dims = [int(tok) for tok in text[0].split()[1:]]
+    except ValueError:
+        raise ModelFormatError(f"{path}: bad layer dims in header {text[0]!r}") from None
+    if len(dims) < 2 or min(dims) < 1:
+        raise ModelFormatError(f"{path}: need at least input and output dims, all >= 1")
+    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+    if len(text) - 1 != expected:
+        raise ModelFormatError(
+            f"{path}: dims {dims} need {expected} parameters, found {len(text) - 1}"
+        )
+    try:
+        values = np.array([float(v) for v in text[1:]])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     weights = []
     biases = []
+    start = 0
     for fan_in, fan_out in zip(dims, dims[1:]):
-        w = np.array([float(next(values)) for _ in range(fan_in * fan_out)])
-        weights.append(w.reshape(fan_in, fan_out))
-        biases.append(np.array([float(next(values)) for _ in range(fan_out)]))
-    return QNetwork(weights, biases)
+        weights.append(values[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+        biases.append(values[start : start + fan_out])
+        start += fan_out
+    try:
+        return QNetwork(weights, biases)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None

@@ -1,0 +1,220 @@
+"""DQN agent: feature table, replay buffer, and bit-identity with a reference loop.
+
+The reference below is the straightforward form of the training loop:
+correlation features recomputed at every step, transitions kept as
+objects in a list-backed ring buffer, batches stacked row by row, and
+one scalar :func:`td_target` per row. ``train`` must reproduce it bit
+for bit, since it only changes how the same data is stored.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from helpers import random_returns
+from portlab.analytics import correlation_values
+from portlab.errors import InsufficientDataError
+from portlab.rl import (
+    EnvState,
+    EpisodeStats,
+    FeatureTable,
+    Hyperparams,
+    ReplayBuffer,
+    annualized_sharpe,
+    apply_action,
+    epsilon_greedy,
+    qnet_forward,
+    qnet_init,
+    state_features,
+    td_target,
+    train,
+)
+from portlab.rl.network import _forward_batch, _loss_and_grads
+
+
+@dataclass(frozen=True)
+class _Transition:
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    done: bool
+
+
+class _ListReplay:
+    """Ring buffer over a Python list: append until full, then overwrite oldest."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.items: list[_Transition] = []
+        self.cursor = 0
+
+    def push(self, transition: _Transition) -> None:
+        if len(self.items) < self.capacity:
+            self.items.append(transition)
+        else:
+            self.items[self.cursor] = transition
+            self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, rng: np.random.Generator, batch_size: int) -> list[_Transition]:
+        idx = rng.integers(0, len(self.items), size=batch_size)
+        return [self.items[i] for i in idx]
+
+
+def _reference_features(values: np.ndarray, t: int, window: int) -> np.ndarray:
+    corr = correlation_values(values[t - window : t])
+    return corr[np.triu_indices(corr.shape[0], k=1)]
+
+
+def _reference_train(returns, hp: Hyperparams):
+    values = returns.values
+    n_rows, n = values.shape
+    rng = np.random.default_rng(hp.seed)
+    net = qnet_init(n, hp, rng=rng)
+    buffer = _ListReplay(hp.replay_capacity)
+    eps = hp.eps_start
+    log = []
+    for episode in range(hp.episodes):
+        state = EnvState(
+            _reference_features(values, hp.window, hp.window), np.full(n, 1.0 / n), hp.window
+        )
+        cum_reward = 0.0
+        losses = []
+        done = False
+        while not done:
+            features = state_features(state)
+            action = epsilon_greedy(qnet_forward(net, features), eps, rng)
+            t = state.t
+            weights = apply_action(state.weights, action, hp.step_delta)
+            reward = annualized_sharpe(values[t : t + hp.rebalance_period] @ weights)
+            t_next = t + hp.rebalance_period
+            next_state = EnvState(
+                _reference_features(values, t_next, hp.window), weights, t_next
+            )
+            done = (n_rows - t_next) < hp.rebalance_period
+            buffer.push(
+                _Transition(features, action, reward, state_features(next_state), done)
+            )
+            cum_reward += reward
+            if len(buffer.items) >= hp.batch_size:
+                batch = buffer.sample(rng, hp.batch_size)
+                max_next = _forward_batch(
+                    net, np.stack([b.next_state for b in batch])
+                ).max(axis=1)
+                targets = np.array(
+                    [
+                        td_target(b.reward, hp.discount, m, b.done)
+                        for b, m in zip(batch, max_next)
+                    ]
+                )
+                x = np.stack([b.state for b in batch])
+                actions = np.array([b.action for b in batch], dtype=int)
+                loss, grad_w, grad_b = _loss_and_grads(net, x, actions, targets)
+                for w, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):
+                    w -= hp.learning_rate * gw
+                    b -= hp.learning_rate * gb
+                losses.append(loss)
+            state = next_state
+        mean_loss = float(np.mean(losses)) if losses else 0.0
+        log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
+        eps = max(hp.eps_min, eps * hp.eps_decay)
+    return net, log
+
+
+def _small_hp(**overrides) -> Hyperparams:
+    base = dict(
+        window=10,
+        episodes=6,
+        batch_size=8,
+        rebalance_period=3,
+        hidden_dims=(16, 8),
+        replay_capacity=1000,
+        seed=3,
+    )
+    base.update(overrides)
+    return Hyperparams(**base)
+
+
+@pytest.mark.parametrize(
+    "capacity",
+    [1000, 50],
+    ids=["buffer-never-fills", "buffer-evicts"],
+)
+def test_train_matches_reference_loop_bit_for_bit(capacity):
+    returns = random_returns(np.random.default_rng(11), 80, 4)
+    hp = _small_hp(replay_capacity=capacity)
+    steps = range(hp.window + hp.rebalance_period, returns.n_rows + 1, hp.rebalance_period)
+    pushes = hp.episodes * len(steps)
+    assert (pushes > capacity) == (capacity == 50)
+
+    net, log = train(returns, hp)
+    ref_net, ref_log = _reference_train(returns, hp)
+
+    assert log == ref_log
+    for got, want in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+        assert np.array_equal(got, want)
+
+
+def test_feature_table_rows_are_the_visited_windows():
+    returns = random_returns(np.random.default_rng(5), 47, 5)
+    hp = _small_hp(window=7, rebalance_period=4)
+    table = FeatureTable(returns, hp)
+    times = range(hp.window, returns.n_rows + 1, hp.rebalance_period)
+    triu = np.triu_indices(returns.n_assets, k=1)
+    assert table.values.shape == (len(times), len(triu[0]))
+    for k, t in enumerate(times):
+        want = correlation_values(returns.values[t - hp.window : t])[triu]
+        assert np.array_equal(table.values[k], want)
+        assert np.array_equal(table.at(t), want)
+
+
+@pytest.mark.parametrize("t", [6, 8, 48])
+def test_feature_table_rejects_time_off_its_grid(t):
+    returns = random_returns(np.random.default_rng(5), 47, 3)
+    table = FeatureTable(returns, _small_hp(window=7, rebalance_period=4))
+    with pytest.raises(ValueError, match="not a time index"):
+        table.at(t)
+
+
+def test_feature_table_too_short_raises():
+    hp = _small_hp()
+    rng = np.random.default_rng(2)
+    short = random_returns(rng, hp.window + hp.rebalance_period, 3)
+    with pytest.raises(InsufficientDataError):
+        FeatureTable(short, hp)
+    with pytest.raises(InsufficientDataError):
+        train(short, hp)
+    FeatureTable(random_returns(rng, hp.window + hp.rebalance_period + 1, 3), hp)
+
+
+def test_replay_buffer_ring_order_and_sampling():
+    buffer = ReplayBuffer(3, 2)
+    for p in range(5):
+        buffer.push(np.full(2, p), p, float(p), np.full(2, -p), p % 2 == 1)
+        assert len(buffer) == min(p + 1, 3)
+    # pushes 3 and 4 overwrote slots 0 and 1; slot 2 still holds push 2
+    batch = buffer.sample(np.random.default_rng(0), 64)
+    slots = np.random.default_rng(0).integers(0, 3, size=64)
+    pushed = np.array([3, 4, 2])[slots]
+    assert np.array_equal(batch.actions, pushed)
+    assert np.array_equal(batch.rewards, pushed.astype(float))
+    assert np.array_equal(batch.states, np.repeat(pushed[:, None], 2, axis=1).astype(float))
+    assert np.array_equal(batch.next_states, -batch.states)
+    assert np.array_equal(batch.dones, pushed % 2 == 1)
+
+
+@pytest.mark.parametrize("reward", [math.nan, math.inf])
+def test_replay_buffer_rejects_non_finite_reward(reward):
+    buffer = ReplayBuffer(4, 2)
+    with pytest.raises(ValueError, match="finite"):
+        buffer.push(np.zeros(2), 0, reward, np.zeros(2), False)
+    assert len(buffer) == 0
+
+
+def test_replay_buffer_rejects_zero_capacity():
+    with pytest.raises(ValueError):
+        ReplayBuffer(0, 2)

@@ -1,0 +1,141 @@
+"""Q-network gradients, vectorized TD targets, file round-trips, tabular check."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from portlab.errors import ModelFormatError
+from portlab.rl import (
+    EpisodeStats,
+    Hyperparams,
+    ReplayBatch,
+    load_qnetwork,
+    qnet_init,
+    read_training_log,
+    save_qnetwork,
+    tabular_q_check,
+    td_target,
+    td_targets,
+    two_state_chain,
+    write_training_log,
+)
+from portlab.rl.network import _forward_batch, _loss_and_grads
+
+
+def _net(n_assets=3, hidden=(6, 5), seed=4):
+    return qnet_init(n_assets, Hyperparams(hidden_dims=hidden, seed=seed))
+
+
+def _loss(net, x, actions, targets) -> float:
+    return _loss_and_grads(net, x, actions, targets)[0]
+
+
+def test_loss_gradients_match_central_differences():
+    rng = np.random.default_rng(8)
+    net = _net()
+    for b in net.biases:
+        b += rng.normal(0.0, 0.1, size=b.shape)
+    x = rng.normal(size=(7, net.n_inputs))
+    actions = rng.integers(0, net.n_outputs, size=7)
+    targets = rng.normal(size=7)
+    _, grad_w, grad_b = _loss_and_grads(net, x, actions, targets)
+
+    h = 1e-6
+    for params, grads in ((net.weights, grad_w), (net.biases, grad_b)):
+        for p, g in zip(params, grads):
+            numeric = np.empty_like(p)
+            for idx in np.ndindex(p.shape):
+                saved = p[idx]
+                p[idx] = saved + h
+                up = _loss(net, x, actions, targets)
+                p[idx] = saved - h
+                down = _loss(net, x, actions, targets)
+                p[idx] = saved
+                numeric[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(g, numeric, rtol=1e-5, atol=1e-8)
+
+
+def test_td_targets_equal_scalar_rule_row_by_row():
+    rng = np.random.default_rng(1)
+    net = _net()
+    batch = ReplayBatch(
+        states=rng.normal(size=(9, net.n_inputs)),
+        actions=rng.integers(0, net.n_outputs, size=9),
+        rewards=rng.normal(size=9),
+        next_states=rng.normal(size=(9, net.n_inputs)),
+        dones=np.array([False, True, False, False, True, True, False, True, False]),
+    )
+    max_next = _forward_batch(net, batch.next_states).max(axis=1)
+    want = [
+        td_target(r, 0.9, m, d) for r, m, d in zip(batch.rewards, max_next, batch.dones)
+    ]
+    got = td_targets(batch, net, 0.9)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array(want))
+    assert np.array_equal(got[batch.dones], batch.rewards[batch.dones])
+
+
+def test_qnetwork_save_load_round_trip_is_exact(tmp_path):
+    rng = np.random.default_rng(2)
+    net = _net()
+    for b in net.biases:
+        b += rng.normal(size=b.shape) / 3
+    path = tmp_path / "model.txt"
+    save_qnetwork(net, path)
+    loaded = load_qnetwork(path)
+    assert loaded.layer_dims == net.layer_dims
+    for got, want in zip(loaded.weights + loaded.biases, net.weights + net.biases):
+        assert np.array_equal(got, want)
+    again = tmp_path / "again.txt"
+    save_qnetwork(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda lines: lines[:-1],
+        lambda lines: lines + ["0.5"],
+        lambda lines: ["qnetwork ten 5"] + lines[1:],
+        lambda lines: ["qnetwork 6"] + lines[1:],
+        lambda lines: ["qnetwork 0 0"],
+        lambda lines: ["weights 6 5 7"] + lines[1:],
+        lambda lines: lines[:3] + ["abc"] + lines[4:],
+        lambda lines: lines[:3] + ["nan"] + lines[4:],
+        lambda lines: [],
+    ],
+    ids=[
+        "truncated",
+        "trailing-value",
+        "bad-dim",
+        "one-dim",
+        "zero-dims",
+        "bad-magic",
+        "bad-value",
+        "non-finite-value",
+        "empty",
+    ],
+)
+def test_load_qnetwork_rejects_malformed_file(tmp_path, mangle):
+    path = tmp_path / "model.txt"
+    save_qnetwork(_net(n_assets=2, hidden=(5,)), path)
+    lines = mangle(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ModelFormatError):
+        load_qnetwork(path)
+
+
+def test_training_log_round_trip_is_exact(tmp_path):
+    log = [
+        EpisodeStats(0, 0.1 + 0.2, 1e-300, 1.0),
+        EpisodeStats(1, -12345.678901234567, 0.0, 0.95),
+        EpisodeStats(2, 5e-324, 3.141592653589793, 0.05),
+    ]
+    path = tmp_path / "log.csv"
+    write_training_log(log, path)
+    assert read_training_log(path) == log
+
+
+def test_tabular_q_learning_converges_to_value_iteration():
+    assert tabular_q_check(two_state_chain(), discount=0.9, alpha=0.1, steps=20_000) < 1e-10
