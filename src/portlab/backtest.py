@@ -43,7 +43,7 @@ class WeightSchedule:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != len(self.dates):
             raise ValueError("weights must be one row per date")
-        if np.any(weights < 0) or np.max(np.abs(weights.sum(axis=1) - 1.0)) > 1e-9:
+        if np.any(weights < 0) or not np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9:
             raise ValueError("every schedule row must lie on the simplex")
         weights.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -69,7 +69,7 @@ class BacktestReport:
         if self.annual_risk < 0:
             raise ValueError("annual risk must be >= 0")
         implied = (self.annual_return - self.risk_free) / self.annual_risk
-        if abs(self.sharpe - implied) > 1e-9:
+        if not abs(self.sharpe - implied) <= 1e-9:
             raise ValueError("stored Sharpe inconsistent with return/risk/risk-free")
 
 

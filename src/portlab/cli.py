@@ -22,6 +22,7 @@ import numpy as np
 from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_out_dir, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
+from .floatcsv import write_float_csv
 from .market_data import DateSplit, forward_fill, load_prices, split_by_date
 from .rl import (
     evaluate,
@@ -50,7 +51,7 @@ def cmd_mvp(config: RunConfig) -> None:
     )
     mvp.write_frontier_csv(cloud, out / "frontier.csv")
     curve_points = mvp.efficient_frontier(cloud, config.frontier_bins)
-    _write_frontier_points(curve_points, data.tickers, out / "frontier_curve.csv")
+    mvp.write_frontier_points(curve_points, len(data.tickers), out / "frontier_curve.csv")
 
     min_risk = mvp.min_risk_portfolio(cloud)
     max_sharpe = mvp.max_sharpe_portfolio(cloud)
@@ -210,18 +211,6 @@ def read_portfolio_json(path: Path) -> mvp.Portfolio:
     return mvp.Portfolio(tuple(payload["tickers"]), np.array(payload["weights"]))
 
 
-def _write_frontier_points(
-    points: list[mvp.FrontierPoint], tickers: tuple[str, ...], path: Path
-) -> None:
-    header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(len(tickers))]
-    lines = [",".join(header)]
-    for p in points:
-        cells = [repr(p.annual_volatility), repr(p.annual_return), repr(p.sharpe)]
-        cells += [repr(float(w)) for w in p.weights]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _write_curve_csv(curve: analytics.CumulativeCurve, path: Path) -> None:
     lines = ["date,cumulative_return"]
     lines += [f"{d.isoformat()},{v!r}" for d, v in zip(curve.dates, curve.values)]
@@ -231,10 +220,8 @@ def _write_curve_csv(curve: analytics.CumulativeCurve, path: Path) -> None:
 def _write_schedule_csv(
     schedule: backtest.WeightSchedule, tickers: tuple[str, ...], path: Path
 ) -> None:
-    lines = ["date," + ",".join(tickers)]
-    for d, row in zip(schedule.dates, schedule.weights):
-        lines.append(d.isoformat() + "," + ",".join(repr(float(w)) for w in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dates = [d.isoformat() for d in schedule.dates]
+    write_float_csv(path, ["date", *tickers], schedule.weights, labels=dates)
 
 
 _COMMANDS = {

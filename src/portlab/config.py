@@ -10,6 +10,7 @@ pins the whole run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -31,6 +32,13 @@ class RunConfig:
     out_dir: Path = Path("runs")
     seed: int = 0
     rl: Hyperparams = field(default_factory=Hyperparams)
+
+    def __post_init__(self) -> None:
+        for name in ("trading_days", "mc_samples", "frontier_bins"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not math.isfinite(self.risk_free):
+            raise ValueError("risk_free must be finite")
 
 
 def _parse_int(raw: str) -> int:

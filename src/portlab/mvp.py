@@ -5,6 +5,12 @@ minimum-risk portfolio is the cloud's lowest-volatility point and the
 optimum-risk portfolio its highest-Sharpe point. A closed-form solution
 of the sum-to-one minimum-variance problem is kept alongside as an
 oracle for the sampler.
+
+The cloud is held as arrays, one row per sampled portfolio: volatilities,
+returns and Sharpe ratios of shape ``(count,)`` and weights of shape
+``(count, n)``. :class:`FrontierPoint` objects are built only for the
+rows a selection picks (minimum risk, maximum Sharpe, the efficient
+frontier's bins).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from .analytics import TRADING_DAYS, CovMatrix
 from .errors import SingularMatrixError, UndefinedSharpeError
+from .floatcsv import write_float_csv
 
 _CHUNK = 1000  # sampling chunk; fixed so clouds are prefix-stable across counts
 
@@ -36,7 +43,7 @@ class Portfolio:
             raise ValueError("weights must be finite")
         if np.any(weights < 0):
             raise ValueError("weights must be non-negative (long-only)")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
+        if not abs(float(weights.sum()) - 1.0) <= 1e-9:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         weights.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -55,33 +62,55 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class FrontierCloud:
-    """The full Monte-Carlo sample; deterministic for a fixed seed."""
+    """The full Monte-Carlo sample as read-only arrays; deterministic for a fixed seed.
 
-    points: tuple[FrontierPoint, ...]
+    Row ``i`` of every array describes sampled portfolio ``i``:
+    ``volatilities`` and ``returns`` are annualized, ``sharpes`` is
+    ``(returns - risk_free) / volatilities`` and ``weights`` is
+    ``(count, n)`` with every row on the unit simplex.
+    """
+
+    volatilities: np.ndarray
+    returns: np.ndarray
+    sharpes: np.ndarray
+    weights: np.ndarray
     seed: int
-    sample_count: int
     risk_free: float
 
     def __post_init__(self) -> None:
-        if len(self.points) != self.sample_count:
-            raise ValueError("point count must equal sample_count")
-        weights = np.stack([p.weights for p in self.points])
-        if np.any(weights < 0) or np.max(np.abs(weights.sum(axis=1) - 1.0)) > 1e-9:
+        for name in ("volatilities", "returns", "sharpes", "weights"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        count = self.volatilities.shape[0] if self.volatilities.ndim == 1 else -1
+        if count < 1:
+            raise ValueError("volatilities must be a non-empty 1-D array")
+        if self.returns.shape != (count,) or self.sharpes.shape != (count,):
+            raise ValueError("returns and sharpes must have one entry per volatility")
+        if self.weights.ndim != 2 or self.weights.shape[0] != count or not self.weights.size:
+            raise ValueError("weights must be a (count, n) array with n >= 1")
+        # written as not (x <= tol) so that NaN fails every check
+        simplex_err = np.max(np.abs(self.weights.sum(axis=1) - 1.0))
+        if np.any(self.weights < 0) or not simplex_err <= 1e-9:
             raise ValueError("every sampled weight vector must lie on the simplex")
-        vols = np.array([p.annual_volatility for p in self.points])
-        rets = np.array([p.annual_return for p in self.points])
-        sharpes = np.array([p.sharpe for p in self.points])
-        if np.max(np.abs(sharpes - (rets - self.risk_free) / vols), initial=0.0) > 1e-9:
+        if not np.all(self.volatilities > 0):
+            raise ValueError("volatilities must be positive")
+        implied = (self.returns - self.risk_free) / self.volatilities
+        if not np.max(np.abs(self.sharpes - implied)) <= 1e-9:
             raise ValueError("stored Sharpe values inconsistent with return/volatility")
 
-    def volatilities(self) -> np.ndarray:
-        return np.array([p.annual_volatility for p in self.points])
+    @property
+    def sample_count(self) -> int:
+        return self.volatilities.shape[0]
 
-    def returns(self) -> np.ndarray:
-        return np.array([p.annual_return for p in self.points])
-
-    def sharpes(self) -> np.ndarray:
-        return np.array([p.sharpe for p in self.points])
+    def point(self, i: int) -> FrontierPoint:
+        """Row ``i`` as a :class:`FrontierPoint` (weights are a read-only view)."""
+        return FrontierPoint(
+            annual_volatility=float(self.volatilities[i]),
+            annual_return=float(self.returns[i]),
+            sharpe=float(self.sharpes[i]),
+            weights=self.weights[i],
+        )
 
 
 @dataclass(frozen=True)
@@ -144,46 +173,44 @@ def sample_portfolios(
 
     n_chunks = (count + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    points: list[FrontierPoint] = []
+    vols = np.empty(count)
+    rets = np.empty(count)
+    sharpes = np.empty(count)
+    weights = np.empty((count, n))
     for chunk_idx in range(n_chunks):
-        k = min(_CHUNK, count - chunk_idx * _CHUNK)
+        lo = chunk_idx * _CHUNK
+        hi = min(lo + _CHUNK, count)
         rng = np.random.default_rng(streams[chunk_idx])
-        draws = rng.uniform(size=(k, n))
-        weights = draws / draws.sum(axis=1, keepdims=True)
-        variances = np.maximum(np.einsum("ij,jk,ik->i", weights, sigma, weights), 0.0)
-        vols = np.sqrt(variances * trading_days)
-        if np.any(vols <= 0):
-            raise UndefinedSharpeError("sampled portfolio has zero volatility")
-        rets = weights @ mu
-        sharpes = (rets - risk_free) / vols
-        for i in range(k):
-            points.append(
-                FrontierPoint(
-                    annual_volatility=float(vols[i]),
-                    annual_return=float(rets[i]),
-                    sharpe=float(sharpes[i]),
-                    weights=weights[i],
-                )
-            )
-    return FrontierCloud(tuple(points), seed, count, risk_free)
+        draws = rng.uniform(size=(hi - lo, n))
+        w = draws / draws.sum(axis=1, keepdims=True)
+        variances = np.maximum(np.einsum("ij,jk,ik->i", w, sigma, w), 0.0)
+        v = np.sqrt(variances * trading_days)
+        if not np.all(v > 0):
+            raise UndefinedSharpeError("sampled portfolio has zero or undefined volatility")
+        r = w @ mu
+        weights[lo:hi] = w
+        vols[lo:hi] = v
+        rets[lo:hi] = r
+        sharpes[lo:hi] = (r - risk_free) / v
+    return FrontierCloud(vols, rets, sharpes, weights, seed, risk_free)
 
 
 def min_risk_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     """The cloud's leftmost point: minimum volatility, ties to the lower index."""
-    return cloud.points[int(np.argmin(cloud.volatilities()))]
+    return cloud.point(int(np.argmin(cloud.volatilities)))
 
 
 def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
     """The cloud's optimum-risk point: maximum Sharpe, ties to the lower index."""
-    return cloud.points[int(np.argmax(cloud.sharpes()))]
+    return cloud.point(int(np.argmax(cloud.sharpes)))
 
 
 def efficient_frontier(cloud: FrontierCloud, bins: int) -> list[FrontierPoint]:
     """Maximum-return point per volatility bin, ordered by volatility."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    vols = cloud.volatilities()
-    rets = cloud.returns()
+    vols = cloud.volatilities
+    rets = cloud.returns
     vmin = float(vols.min())
     vmax = float(vols.max())
     if vmax == vmin:
@@ -199,7 +226,7 @@ def efficient_frontier(cloud: FrontierCloud, bins: int) -> list[FrontierPoint]:
             continue
         chosen.append(int(members[np.argmax(rets[members])]))
     chosen.sort(key=lambda i: (vols[i], i))
-    return [cloud.points[i] for i in chosen]
+    return [cloud.point(i) for i in chosen]
 
 
 def closed_form_min_variance(cov: CovMatrix | np.ndarray) -> MinVariancePortfolio:
@@ -247,15 +274,30 @@ def _solve_or_none(sigma: np.ndarray, ones: np.ndarray) -> np.ndarray | None:
 
 def write_frontier_csv(cloud: FrontierCloud, path: str | Path) -> None:
     """Dump the cloud as ``volatility,return,sharpe,w1..wN`` (one row per point)."""
-    n = cloud.points[0].weights.shape[0]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)])
-        for p in cloud.points:
-            writer.writerow(
-                [repr(p.annual_volatility), repr(p.annual_return), repr(p.sharpe)]
-                + [repr(float(w)) for w in p.weights]
-            )
+    _write_frontier_table(
+        path, cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights
+    )
+
+
+def write_frontier_points(
+    points: list[FrontierPoint], n_assets: int, path: str | Path
+) -> None:
+    """Write selected points (e.g. the efficient frontier) in the cloud's CSV layout."""
+    _write_frontier_table(
+        path,
+        [p.annual_volatility for p in points],
+        [p.annual_return for p in points],
+        [p.sharpe for p in points],
+        np.array([p.weights for p in points], dtype=float).reshape(len(points), n_assets),
+    )
+
+
+def _write_frontier_table(
+    path: str | Path, vols, rets, sharpes, weights: np.ndarray
+) -> None:
+    n_assets = weights.shape[1]
+    header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
+    write_float_csv(path, header, np.column_stack((vols, rets, sharpes, weights)))
 
 
 def read_frontier_csv(path: str | Path) -> np.ndarray:

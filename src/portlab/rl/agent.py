@@ -116,7 +116,8 @@ def train(
     episode down to ``eps_min``. With ``episodes=0`` the freshly
     initialized network is returned untouched. A table too short for one
     step raises :class:`~portlab.errors.InsufficientDataError`, whatever
-    the episode count.
+    the episode count; a non-finite loss raises
+    :class:`~portlab.errors.DivergenceError`.
     """
     table = FeatureTable(returns_train, hp)
     rng = np.random.default_rng(hp.seed)
@@ -126,29 +127,34 @@ def train(
     log: list[EpisodeStats] = []
     global_step = 0
 
-    for episode in range(hp.episodes):
-        state = env_reset(table, hp)
-        features = state_features(state)
-        cum_reward = 0.0
-        losses: list[float] = []
-        done = False
-        while not done:
-            action = epsilon_greedy(qnet_forward(net, features), eps, rng)
-            next_state, reward, done = env_step(state, action, table, hp)
-            next_features = state_features(next_state)
-            buffer.push(features, action, reward, next_features, done)
-            cum_reward += reward
-            if len(buffer) >= hp.batch_size:
-                batch = buffer.sample(rng, hp.batch_size)
-                targets = td_targets(batch, net, hp.discount)
-                losses.append(
-                    qnet_train_step(net, batch, targets, hp.learning_rate, step=global_step)
-                )
-            state, features = next_state, next_features
-            global_step += 1
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
-        eps = max(hp.eps_min, eps * hp.eps_decay)
+    # A diverging network overflows before its loss turns non-finite;
+    # qnet_train_step then raises DivergenceError, which is the one report
+    # the caller gets, so numpy's floating-point warnings stay silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for episode in range(hp.episodes):
+            state = env_reset(table, hp)
+            features = state_features(state)
+            cum_reward = 0.0
+            losses: list[float] = []
+            done = False
+            while not done:
+                action = epsilon_greedy(qnet_forward(net, features), eps, rng)
+                next_state, reward, done = env_step(state, action, table, hp)
+                next_features = state_features(next_state)
+                buffer.push(features, action, reward, next_features, done)
+                cum_reward += reward
+                if len(buffer) >= hp.batch_size:
+                    batch = buffer.sample(rng, hp.batch_size)
+                    targets = td_targets(batch, net, hp.discount)
+                    loss = qnet_train_step(
+                        net, batch, targets, hp.learning_rate, step=global_step
+                    )
+                    losses.append(loss)
+                state, features = next_state, next_features
+                global_step += 1
+            mean_loss = float(np.mean(losses)) if losses else 0.0
+            log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
+            eps = max(hp.eps_min, eps * hp.eps_decay)
 
     return net, log
 

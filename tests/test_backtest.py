@@ -1,0 +1,43 @@
+"""Backtest dataclass invariants: NaN must fail them like any other bad value."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from helpers import weekdays
+from portlab.analytics import CumulativeCurve
+from portlab.backtest import BacktestReport, WeightSchedule
+
+
+def _report(**overrides) -> BacktestReport:
+    fields = dict(
+        method="MVP",
+        phase="test",
+        dataset="d",
+        annual_return=0.11,
+        annual_risk=0.2,
+        risk_free=0.01,
+        sharpe=(0.11 - 0.01) / 0.2,
+        curve=CumulativeCurve(weekdays(2), np.array([0.0, 0.01])),
+    )
+    fields.update(overrides)
+    return BacktestReport(**fields)
+
+
+def test_consistent_report_accepted():
+    assert _report().sharpe == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("field", ["sharpe", "risk_free", "annual_return"])
+def test_nan_breaks_sharpe_consistency(field):
+    with pytest.raises(ValueError, match="Sharpe"):
+        _report(**{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "row", [[0.5, 0.6], [np.nan, 1.0], [1.5, -0.5]], ids=["off-simplex", "nan", "negative"]
+)
+def test_schedule_rejects_rows_off_the_simplex(row):
+    with pytest.raises(ValueError, match="simplex"):
+        WeightSchedule(weekdays(2), np.array([[0.5, 0.5], row]))

@@ -1,10 +1,15 @@
-"""CLI diagnostics: a bad saved model gives exit 1 and one ``error:`` line."""
+"""CLI behaviour end to end.
+
+Bad input (a malformed saved model, an out-of-range config value) gives
+exit 1 and one ``error:`` line; a full pipeline run writes the same bytes
+every time; the bundled fixture regenerates byte for byte.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from portlab import cli
+from portlab import cli, synthetic
 from portlab.rl import Hyperparams, qnet_init, save_qnetwork
 
 FIXTURE_ASSETS = 10
@@ -66,3 +71,56 @@ def test_rl_eval_accepts_well_formed_model(run_dir, capsys):
     code, err = _rl_eval(config, out, capsys)
     assert (code, err) == (0, [])
     assert (out / "report_RL_test.json").exists()
+
+
+def _write_config(path, fixture_csv, extra: str = "") -> None:
+    path.write_text(
+        f"data = {fixture_csv}\n"
+        "train_end = 2019-05-03\n"
+        "test_start = 2019-05-06\n" + extra,
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize(
+    ("line", "key"),
+    [
+        ("risk_free = nan", "risk_free"),
+        ("mc_samples = 0", "mc_samples"),
+        ("frontier_bins = 0", "frontier_bins"),
+        ("trading_days = 0", "trading_days"),
+    ],
+)
+def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, key):
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, line + "\n")
+    code = cli.main(["mvp", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert key in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def _run_pipeline(config, out) -> dict[str, bytes]:
+    for command in cli._COMMANDS:
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_pipeline_outputs_are_byte_identical_across_runs(tmp_path, fixture_csv, capsys):
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, "mc_samples = 2500\nrl.episodes = 2\nseed = 7\n")
+    first = _run_pipeline(config, tmp_path / "a")
+    second = _run_pipeline(config, tmp_path / "b")
+    assert capsys.readouterr().err == ""
+    assert len(first) == 21
+    assert first.keys() == second.keys()
+    for name in first:
+        assert first[name] == second[name], name
+
+
+def test_fixture_regenerates_byte_for_byte(tmp_path, fixture_csv, capsys):
+    path = tmp_path / "prices.csv"
+    assert synthetic.main([str(path)]) == 0
+    assert path.read_bytes() == fixture_csv.read_bytes()

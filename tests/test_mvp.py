@@ -22,6 +22,19 @@ def annual_vol(weights: np.ndarray, sigma: np.ndarray, trading_days: int = 252) 
     return math.sqrt(max(float(weights @ sigma @ weights), 0.0) * trading_days)
 
 
+def hand_cloud(rows, risk_free: float) -> mvp.FrontierCloud:
+    """Cloud from ``(volatility, return, weights)`` rows with consistent Sharpes."""
+    vols = np.array([r[0] for r in rows])
+    rets = np.array([r[1] for r in rows])
+    weights = np.array([r[2] for r in rows], dtype=float)
+    sharpes = (rets - risk_free) / vols
+    return mvp.FrontierCloud(vols, rets, sharpes, weights, seed=0, risk_free=risk_free)
+
+
+def as_tuple(point: mvp.FrontierPoint) -> tuple:
+    return (point.annual_volatility, point.annual_return, point.sharpe, point.weights.tolist())
+
+
 class TestEqualWeight:
     def test_ten_assets(self):
         port = mvp.equal_weight(10)
@@ -43,33 +56,29 @@ class TestSamplePortfolios:
         mu, sigma = synthetic_ten_asset_case()
         a = mvp.sample_portfolios(mu, sigma, 500, 0.01, seed=3)
         b = mvp.sample_portfolios(mu, sigma, 500, 0.01, seed=3)
-        assert a.sample_count == len(a.points) == 500
-        assert np.array_equal(
-            np.stack([p.weights for p in a.points]),
-            np.stack([p.weights for p in b.points]),
-        )
-        assert np.array_equal(a.volatilities(), b.volatilities())
+        assert a.sample_count == a.weights.shape[0] == 500
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.volatilities, b.volatilities)
 
     def test_different_seed_differs(self):
         mu, sigma = synthetic_ten_asset_case()
         a = mvp.sample_portfolios(mu, sigma, 100, 0.01, seed=3)
         b = mvp.sample_portfolios(mu, sigma, 100, 0.01, seed=4)
-        assert not np.array_equal(a.volatilities(), b.volatilities())
+        assert not np.array_equal(a.volatilities, b.volatilities)
 
     def test_prefix_stability_across_counts(self):
         # chunked sampling: a shorter cloud is a prefix of a longer one
         mu, sigma = synthetic_ten_asset_case()
         small = mvp.sample_portfolios(mu, sigma, 700, 0.01, seed=9)
         large = mvp.sample_portfolios(mu, sigma, 1500, 0.01, seed=9)
-        assert np.array_equal(small.volatilities(), large.volatilities()[:700])
+        assert np.array_equal(small.volatilities, large.volatilities[:700])
 
     def test_single_asset_degenerate(self):
         cloud = mvp.sample_portfolios(
             np.array([0.1]), np.array([[1e-4]]), 50, 0.01, seed=1
         )
-        weights = np.stack([p.weights for p in cloud.points])
-        assert np.all(weights == 1.0)
-        assert np.unique(cloud.volatilities()).size == 1
+        assert np.all(cloud.weights == 1.0)
+        assert np.unique(cloud.volatilities).size == 1
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -79,9 +88,8 @@ class TestSamplePortfolios:
         sigma = random_cov(rng, n)
         mu = rng.uniform(0.0, 0.3, size=n)
         cloud = mvp.sample_portfolios(mu, sigma, 64, 0.01, seed=seed)
-        weights = np.stack([p.weights for p in cloud.points])
-        assert np.all(weights >= 0)
-        assert np.max(np.abs(weights.sum(axis=1) - 1.0)) < 1e-9
+        assert np.all(cloud.weights >= 0)
+        assert np.max(np.abs(cloud.weights.sum(axis=1) - 1.0)) < 1e-9
 
     def test_count_must_be_positive(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -89,25 +97,91 @@ class TestSamplePortfolios:
             mvp.sample_portfolios(mu, sigma, 0, 0.01, seed=1)
 
 
+class TestFrontierCloudInvariants:
+    def test_arrays_are_read_only_copies(self):
+        weights = np.array([[0.5, 0.5]])
+        cloud = mvp.FrontierCloud(
+            np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, seed=0, risk_free=0.01
+        )
+        weights[0, 0] = 7.0
+        assert cloud.weights.tolist() == [[0.5, 0.5]]
+        assert cloud.sample_count == 1
+        for values in (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights):
+            assert not values.flags.writeable
+
+    def test_off_simplex_row_rejected(self):
+        with pytest.raises(ValueError, match="simplex"):
+            hand_cloud([(0.1, 0.2, [0.5, 0.5]), (0.1, 0.2, [0.5, 0.6])], risk_free=0.01)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="simplex"):
+            hand_cloud([(0.1, 0.2, [1.5, -0.5])], risk_free=0.01)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="simplex"):
+            hand_cloud([(0.1, 0.2, [np.nan, 1.0])], risk_free=0.01)
+
+    def test_nan_sharpe_rejected(self):
+        with pytest.raises(ValueError, match="Sharpe"):
+            mvp.FrontierCloud(
+                np.array([0.1, 0.2]),
+                np.array([0.2, 0.3]),
+                np.array([1.9, np.nan]),
+                np.array([[1.0, 0.0], [0.0, 1.0]]),
+                seed=0,
+                risk_free=0.01,
+            )
+
+    def test_nan_risk_free_rejected(self):
+        with pytest.raises(ValueError, match="Sharpe"):
+            hand_cloud([(0.1, 0.2, [1.0])], risk_free=np.nan)
+
+    @pytest.mark.parametrize("vol", [0.0, -0.1, np.nan])
+    def test_non_positive_volatility_rejected(self, vol):
+        with pytest.raises(ValueError, match="volatilities"):
+            mvp.FrontierCloud(
+                np.array([vol]), np.array([0.2]), np.array([1.0]), np.array([[1.0]]),
+                seed=0, risk_free=0.01,
+            )
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            mvp.FrontierCloud(
+                np.array([0.1, 0.2]), np.array([0.2]), np.array([1.9]), np.array([[1.0]]),
+                seed=0, risk_free=0.01,
+            )
+        with pytest.raises(ValueError):
+            mvp.FrontierCloud(
+                np.array([0.1]), np.array([0.2]), np.array([1.9]), np.array([1.0]),
+                seed=0, risk_free=0.01,
+            )
+
+    def test_empty_cloud_rejected(self):
+        with pytest.raises(ValueError):
+            mvp.FrontierCloud(
+                np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2)), seed=0, risk_free=0.01
+            )
+
+
 class TestMinRiskAndMaxSharpe:
     def _hand_cloud(self):
-        # point 0 dominates point 1: higher return at lower volatility
-        points = (
-            mvp.FrontierPoint(0.10, 0.30, (0.30 - 0.01) / 0.10, np.array([1.0, 0.0])),
-            mvp.FrontierPoint(0.20, 0.20, (0.20 - 0.01) / 0.20, np.array([0.0, 1.0])),
+        # row 0 dominates row 1: higher return at lower volatility
+        return hand_cloud(
+            [(0.10, 0.30, [1.0, 0.0]), (0.20, 0.20, [0.0, 1.0])], risk_free=0.01
         )
-        return mvp.FrontierCloud(points, seed=0, sample_count=2, risk_free=0.01)
 
     def test_dominant_point_wins_both(self):
         cloud = self._hand_cloud()
-        assert mvp.min_risk_portfolio(cloud) is cloud.points[0]
-        assert mvp.max_sharpe_portfolio(cloud) is cloud.points[0]
+        row0 = (0.10, 0.30, (0.30 - 0.01) / 0.10, [1.0, 0.0])
+        assert as_tuple(cloud.point(0)) == row0
+        assert as_tuple(mvp.min_risk_portfolio(cloud)) == row0
+        assert as_tuple(mvp.max_sharpe_portfolio(cloud)) == row0
 
     def test_singleton_cloud(self):
-        point = mvp.FrontierPoint(0.2, 0.1, (0.1 - 0.01) / 0.2, np.array([1.0]))
-        cloud = mvp.FrontierCloud((point,), seed=0, sample_count=1, risk_free=0.01)
-        assert mvp.min_risk_portfolio(cloud) is point
-        assert mvp.max_sharpe_portfolio(cloud) is point
+        cloud = hand_cloud([(0.2, 0.1, [1.0])], risk_free=0.01)
+        only = (0.2, 0.1, (0.1 - 0.01) / 0.2, [1.0])
+        assert as_tuple(mvp.min_risk_portfolio(cloud)) == only
+        assert as_tuple(mvp.max_sharpe_portfolio(cloud)) == only
 
     def test_two_asset_equal_variance_optimum_is_half_half(self):
         sigma = np.diag([1e-4, 1e-4])
@@ -121,7 +195,7 @@ class TestMinRiskAndMaxSharpe:
         mu, sigma = synthetic_ten_asset_case()
         cloud = mvp.sample_portfolios(mu, sigma, 2000, 0.01, seed=5)
         best = mvp.max_sharpe_portfolio(cloud)
-        assert best.sharpe >= cloud.sharpes().max()
+        assert best.sharpe >= cloud.sharpes.max()
 
     def test_sharpe_invariant_as_stored(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -150,8 +224,7 @@ class TestMinRiskAndMaxSharpe:
 
 class TestEfficientFrontier:
     def test_identical_points_collapse(self):
-        point = mvp.FrontierPoint(0.2, 0.1, (0.1 - 0.01) / 0.2, np.array([1.0]))
-        cloud = mvp.FrontierCloud((point,) * 3, seed=0, sample_count=3, risk_free=0.01)
+        cloud = hand_cloud([(0.2, 0.1, [1.0])] * 3, risk_free=0.01)
         frontier = mvp.efficient_frontier(cloud, bins=10)
         assert len(frontier) == 1
 
@@ -160,15 +233,15 @@ class TestEfficientFrontier:
         cloud = mvp.sample_portfolios(mu, sigma, 1000, 0.01, seed=2)
         frontier = mvp.efficient_frontier(cloud, bins=1)
         assert len(frontier) == 1
-        assert frontier[0].annual_return == cloud.returns().max()
+        assert frontier[0].annual_return == cloud.returns.max()
 
     def test_points_dominate_their_bins(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = mvp.sample_portfolios(mu, sigma, 1000, 0.01, seed=2)
         bins = 20
         frontier = mvp.efficient_frontier(cloud, bins=bins)
-        vols = cloud.volatilities()
-        rets = cloud.returns()
+        vols = cloud.volatilities
+        rets = cloud.returns
         vmin, vmax = vols.min(), vols.max()
         bin_of = np.minimum(((vols - vmin) / (vmax - vmin) * bins).astype(int), bins - 1)
         for point in frontier:
@@ -176,6 +249,16 @@ class TestEfficientFrontier:
             assert point.annual_return == rets[bin_of == b].max()
         ordered = [p.annual_volatility for p in frontier]
         assert ordered == sorted(ordered)
+
+
+class TestPortfolioInvariants:
+    def test_off_simplex_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            mvp.Portfolio(("A", "B"), np.array([0.5, 0.6]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            mvp.Portfolio(("A", "B"), np.array([np.nan, 1.0]))
 
 
 class TestClosedFormMinVariance:
@@ -250,5 +333,5 @@ class TestFrontierCsv:
         mvp.write_frontier_csv(cloud, path)
         data = mvp.read_frontier_csv(path)
         assert data.shape == (250, 3 + 10)
-        assert np.array_equal(data[:, 0], cloud.volatilities())
-        assert np.array_equal(data[:, 3:], np.stack([p.weights for p in cloud.points]))
+        assert np.array_equal(data[:, 0], cloud.volatilities)
+        assert np.array_equal(data[:, 3:], cloud.weights)

@@ -10,6 +10,7 @@ for bit, since it only changes how the same data is stored.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from helpers import random_returns
 from portlab.analytics import correlation_values
-from portlab.errors import InsufficientDataError
+from portlab.errors import DivergenceError, InsufficientDataError
 from portlab.rl import (
     EnvState,
     EpisodeStats,
@@ -218,3 +219,14 @@ def test_replay_buffer_rejects_non_finite_reward(reward):
 def test_replay_buffer_rejects_zero_capacity():
     with pytest.raises(ValueError):
         ReplayBuffer(0, 2)
+
+
+def test_divergence_raises_without_numpy_warnings():
+    # a huge step size blows the weights up within a few updates; the caller
+    # must see DivergenceError alone, not numpy's overflow warnings first
+    returns = random_returns(np.random.default_rng(11), 80, 4)
+    hp = _small_hp(learning_rate=1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite training loss at step"):
+            train(returns, hp)
