@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError, UndefinedSharpeError
+from .errors import AlignmentError, InsufficientDataError, NonFiniteError, UndefinedSharpeError
 
 if TYPE_CHECKING:
     from .backtest import WeightSchedule
@@ -69,11 +69,13 @@ class CovMatrix:
         n = len(self.tickers)
         if values.shape != (n, n):
             raise ValueError("covariance matrix shape does not match tickers")
-        if np.max(np.abs(values - values.T), initial=0.0) > 1e-12:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("covariance entries must be finite")
+        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
             raise ValueError("covariance matrix must be symmetric within 1e-12")
-        if np.any(np.diag(values) < 0):
+        if not np.all(np.diag(values) >= 0):
             raise ValueError("covariance diagonal must be non-negative")
-        if np.linalg.eigvalsh(values).min() < -1e-9:
+        if not np.linalg.eigvalsh(values).min() >= -1e-9:
             raise ValueError("covariance matrix must be positive semidefinite")
         values.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -92,11 +94,13 @@ class CorrMatrix:
         n = len(self.tickers)
         if values.shape != (n, n):
             raise ValueError("correlation matrix shape does not match tickers")
-        if np.max(np.abs(values - values.T), initial=0.0) > 1e-12:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("correlation entries must be finite")
+        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
             raise ValueError("correlation matrix must be symmetric within 1e-12")
-        if np.any(np.diag(values) != 1.0):
+        if not np.all(np.diag(values) == 1.0):
             raise ValueError("correlation diagonal must be exactly 1")
-        if np.any(values < -1.0) or np.any(values > 1.0):
+        if not np.all((values >= -1.0) & (values <= 1.0)):
             raise ValueError("correlation entries must lie in [-1, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -133,7 +137,15 @@ class CumulativeCurve:
 def simple_returns(table: PriceTable) -> ReturnTable:
     """Day-over-day fractional changes: ``P[t+1] / P[t] - 1``."""
     closes = _cleaned_closes(table)
-    values = closes[1:] / closes[:-1] - 1.0
+    with np.errstate(over="ignore"):
+        values = closes[1:] / closes[:-1] - 1.0
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise NonFiniteError(
+            f"return of {table.tickers[col]} on {table.dates[row + 1]} overflows: "
+            f"close {float(closes[row, col])!r} -> {float(closes[row + 1, col])!r}"
+        )
     return ReturnTable(table.dates[1:], table.tickers, values)
 
 
@@ -237,12 +249,25 @@ def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float
     return (portfolio_return - risk_free) / portfolio_vol
 
 
-def cumulative_returns(returns: ReturnTable, schedule: WeightSchedule) -> CumulativeCurve:
-    """Compounded portfolio return curve under a (possibly dynamic) weight schedule."""
+def schedule_returns(
+    returns: ReturnTable, schedule: WeightSchedule
+) -> tuple[np.ndarray, CumulativeCurve]:
+    """Daily returns of a (possibly dynamic) weight schedule and their curve.
+
+    The one place portfolio daily returns are computed: schedule rows
+    aligned to the return dates, weighted and summed per day, then
+    compounded as ``prod(1 + r) - 1``. Raises :class:`NonFiniteError` if
+    the compounded curve leaves the float64 range.
+    """
     weights = aligned_weights(schedule, returns.dates)
-    daily = (returns.values * weights).sum(axis=1)
-    values = np.cumprod(1.0 + daily) - 1.0
-    return CumulativeCurve(returns.dates, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        daily = (returns.values * weights).sum(axis=1)
+        values = np.cumprod(1.0 + daily) - 1.0
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = returns.dates[int(np.argmax(bad))]
+        raise NonFiniteError(f"portfolio cumulative return overflows on {first}")
+    return daily, CumulativeCurve(returns.dates, values)
 
 
 def aligned_weights(schedule: WeightSchedule, dates: tuple[date, ...]) -> np.ndarray:

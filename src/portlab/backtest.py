@@ -18,14 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    TRADING_DAYS,
-    CumulativeCurve,
-    ReturnTable,
-    aligned_weights,
-    cumulative_returns,
-    sharpe_ratio,
-)
+from .analytics import TRADING_DAYS, CumulativeCurve, ReturnTable, schedule_returns, sharpe_ratio
 from .errors import EmptyScheduleError, PortlabError
 from .mvp import Portfolio
 
@@ -102,17 +95,15 @@ def run_backtest(
 ) -> BacktestReport:
     """Score a weight schedule on a return table.
 
-    Daily portfolio returns come from the schedule rows aligned to the
-    return dates; risk is the sample std annualized by sqrt(trading_days),
-    return the mean annualized by trading_days, and the curve is the same
-    compounding that :func:`portlab.analytics.cumulative_returns` produces.
+    Daily portfolio returns and the compounded curve come from
+    :func:`portlab.analytics.schedule_returns`; risk is their sample std
+    annualized by sqrt(trading_days), return their mean annualized by
+    trading_days.
     """
-    weights = aligned_weights(schedule, returns.dates)
-    daily = (returns.values * weights).sum(axis=1)
+    daily, curve = schedule_returns(returns, schedule)
     annual_return = float(daily.mean()) * trading_days
     annual_risk = float(daily.std(ddof=1)) * math.sqrt(trading_days)
     sharpe = sharpe_ratio(annual_return, risk_free, annual_risk)
-    curve = cumulative_returns(returns, schedule)
     return BacktestReport(
         method=method,
         phase=phase,

@@ -17,8 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_out_dir, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
@@ -37,7 +35,7 @@ from .rl import (
 
 def cmd_mvp(config: RunConfig) -> None:
     """Monte-Carlo frontier, min-risk/max-Sharpe portfolios, EW baseline."""
-    data = _prepare(config)
+    data = _PreparedData(config)
     out = _ensure_out(config)
     stats = analytics.volatility(data.train_returns, config.trading_days)
     cov = analytics.covariance(data.train_returns)
@@ -71,7 +69,7 @@ def cmd_mvp(config: RunConfig) -> None:
 
 def cmd_hrp(config: RunConfig) -> None:
     """HRP weights plus the merge tree and weight-bar plot data."""
-    data = _prepare(config)
+    data = _PreparedData(config)
     out = _ensure_out(config)
     corr = analytics.correlation(data.train_returns)
     dbar = hrp.codistance(hrp.corr_distance(corr))
@@ -93,7 +91,7 @@ def cmd_hrp(config: RunConfig) -> None:
 
 def cmd_rl_train(config: RunConfig) -> None:
     """Train the DQN agent on the train split; save model and episode log."""
-    data = _prepare(config)
+    data = _PreparedData(config)
     out = _ensure_out(config)
     net, log = train(data.train_returns, config.rl)
     save_qnetwork(net, out / "rl_model.txt")
@@ -102,7 +100,7 @@ def cmd_rl_train(config: RunConfig) -> None:
 
 def cmd_rl_eval(config: RunConfig) -> None:
     """Greedy rollout of a trained model on both splits; test curve and reports."""
-    data = _prepare(config)
+    data = _PreparedData(config)
     out = _ensure_out(config)
     model_path = out / "rl_model.txt"
     if not model_path.exists():
@@ -115,9 +113,7 @@ def cmd_rl_eval(config: RunConfig) -> None:
             f"actions; {n} assets need {feature_dim(n)} and {num_actions(n)}"
         )
 
-    schedule, curve, _ = evaluate(net, data.test_returns, config.rl)
-    _write_curve_csv(curve, out / "rl_curve.csv")
-    _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
+    schedule = evaluate(net, data.test_returns, config.rl)
     report = backtest.run_backtest(
         schedule,
         data.test_returns,
@@ -127,9 +123,11 @@ def cmd_rl_eval(config: RunConfig) -> None:
         phase="test",
         dataset=data.dataset,
     )
+    _write_curve_csv(report.curve, out / "rl_curve.csv")
+    _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
     backtest.write_report(report, out / "report_RL_test.json")
 
-    train_schedule, _, _ = evaluate(net, data.train_returns, config.rl)
+    train_schedule = evaluate(net, data.train_returns, config.rl)
     train_report = backtest.run_backtest(
         train_schedule,
         data.train_returns,
@@ -166,10 +164,6 @@ class _PreparedData:
         self.dataset = Path(config.data).stem
 
 
-def _prepare(config: RunConfig) -> _PreparedData:
-    return _PreparedData(config)
-
-
 def _ensure_out(config: RunConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,11 +198,6 @@ def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> N
         "weights": [float(w) for w in portfolio.weights],
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def read_portfolio_json(path: Path) -> mvp.Portfolio:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return mvp.Portfolio(tuple(payload["tickers"]), np.array(payload["weights"]))
 
 
 def _write_curve_csv(curve: analytics.CumulativeCurve, path: Path) -> None:

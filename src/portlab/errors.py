@@ -60,3 +60,7 @@ class ConfigError(PortlabError):
 
 class ModelFormatError(PortlabError):
     """A saved model file is malformed or does not fit the configured assets."""
+
+
+class NonFiniteError(PortlabError):
+    """A return or compounded value computed from valid prices overflows float64."""

@@ -4,7 +4,8 @@ quasi-diagonal seriation, and recursive bisection.
 The pipeline runs correlation -> correlation distance -> co-distance ->
 single-linkage tree -> leaf order -> recursive bisection over the
 covariance matrix. Clustering operates on the co-distance matrix; the
-correlation distance is only the intermediate transform.
+correlation distance is only the intermediate transform. Single linkage
+is the only clustering rule, as in the HRP allocation itself.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 
 from .analytics import VARIANCE_FLOOR, CorrMatrix, CovMatrix, ReturnTable, correlation, covariance
 from .mvp import Portfolio
-
-LINKAGE_METHODS = ("single", "ward")
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,13 @@ class DistanceMatrix:
         n = len(self.tickers)
         if values.shape != (n, n):
             raise ValueError("distance matrix shape does not match tickers")
-        if np.max(np.abs(values - values.T), initial=0.0) > 1e-12:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("distances must be finite")
+        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
             raise ValueError("distance matrix must be symmetric within 1e-12")
-        if np.any(np.diag(values) != 0.0):
+        if not np.all(np.diag(values) == 0.0):
             raise ValueError("distance matrix diagonal must be zero")
-        if np.any(values < 0):
+        if not np.all(values >= 0):
             raise ValueError("distances must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
@@ -83,7 +84,9 @@ class LinkageTree:
                 seen.add(child)
             if m.size != sizes[m.left] + sizes[m.right]:
                 raise ValueError(f"merge {step} size {m.size} inconsistent with children")
-            if m.distance < prev - 1e-12:
+            if not math.isfinite(m.distance):
+                raise ValueError(f"merge {step} distance {m.distance} is not finite")
+            if not m.distance >= prev - 1e-12:
                 raise ValueError("merge distances must be non-decreasing")
             prev = m.distance
             sizes[new_id] = m.size
@@ -117,25 +120,26 @@ def codistance(d: DistanceMatrix) -> DistanceMatrix:
     """Euclidean distance between distance-matrix columns.
 
     Measures how similarly two assets relate to the rest of the portfolio:
-    ``sqrt(sum_k (D[k,i] - D[k,j])^2)``.
+    ``sqrt(sum_k (D[k,i] - D[k,j])^2)``. Built one column at a time, so it
+    needs n^2 memory; each sum runs over k in order, as a single (n, n, n)
+    broadcast would, so the values are the same bits.
     """
-    diff = d.values[:, :, None] - d.values[:, None, :]
-    values = np.sqrt((diff * diff).sum(axis=0))
+    values = np.empty_like(d.values)
+    for j in range(values.shape[1]):
+        diff = d.values - d.values[:, j : j + 1]
+        values[:, j] = np.sqrt((diff * diff).sum(axis=0))
     return DistanceMatrix(d.tickers, values, kind="codistance")
 
 
 def single_linkage(d: DistanceMatrix) -> LinkageTree:
-    """Agglomerate by repeatedly merging the closest pair (min-distance update)."""
-    return linkage_tree(d, method="single")
+    """Agglomerate by repeatedly merging the closest pair of clusters.
 
-
-def linkage_tree(d: DistanceMatrix, method: str = "single") -> LinkageTree:
-    """Agglomerative clustering of a distance matrix.
-
-    "single" is the allocation path: cluster distance is the minimum over
-    element pairs, applied via the min update rule. "ward" (Lance-Williams
-    update) exists only for dendrogram export. Ties in the closest pair
-    break to the lexicographically smallest (left, right) node ids.
+    Cluster distance is the minimum over element pairs: after each merge,
+    the new cluster's row is the elementwise minimum of its children's
+    rows. Active node ids stay ascending, so the first minimum of the
+    active block in row-major order is the closest pair with the
+    lexicographically smallest (left, right) ids; that is how exact ties
+    break.
 
     Child order in each merge record is label-invariant: a leaf precedes
     an internal sibling, internal siblings keep formation order, and two
@@ -143,8 +147,6 @@ def linkage_tree(d: DistanceMatrix, method: str = "single") -> LinkageTree:
     node id on exact ties). This keeps the downstream seriation, and so
     the HRP weights, equivariant under input permutations.
     """
-    if method not in LINKAGE_METHODS:
-        raise ValueError(f"unknown linkage method {method!r}")
     n = len(d.tickers)
     if n < 2:
         raise ValueError("need at least 2 assets to cluster")
@@ -153,47 +155,26 @@ def linkage_tree(d: DistanceMatrix, method: str = "single") -> LinkageTree:
     total = 2 * n - 1
     dm = np.full((total, total), np.inf)
     dm[:n, :n] = d.values
-    sizes = np.ones(total, dtype=int)
+    np.fill_diagonal(dm, np.inf)
+    sizes = [1] * total
     active = list(range(n))  # kept ascending; new ids are always the largest
     merges: list[MergeRecord] = []
 
     for step in range(n - 1):
-        best_a = best_b = -1
-        best_dist = math.inf
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                a, b = active[ai], active[bi]
-                if dm[a, b] < best_dist:
-                    best_dist = dm[a, b]
-                    best_a, best_b = a, b
+        ai, bi = divmod(int(np.argmin(dm[np.ix_(active, active)])), len(active))
+        best_a, best_b = active[ai], active[bi]
         new_id = n + step
         sizes[new_id] = sizes[best_a] + sizes[best_b]
         left, right = best_a, best_b
         if right < n and (colsums[right], right) < (colsums[left], left):
             left, right = right, left
-        merges.append(MergeRecord(left, right, float(best_dist), int(sizes[new_id])))
-        for c in active:
-            if c == best_a or c == best_b:
-                continue
-            if method == "single":
-                dist = min(dm[c, best_a], dm[c, best_b])
-            else:
-                dist = _ward_update(
-                    dm[c, best_a], dm[c, best_b], best_dist,
-                    sizes[best_a], sizes[best_b], sizes[c],
-                )
-            dm[new_id, c] = dm[c, new_id] = dist
-        active.remove(best_a)
-        active.remove(best_b)
+        merges.append(MergeRecord(left, right, float(dm[best_a, best_b]), sizes[new_id]))
+        dm[new_id, :] = dm[:, new_id] = np.minimum(dm[best_a, :], dm[best_b, :])
+        # ai < bi: the first minimum of a symmetric block lies above its diagonal
+        del active[bi], active[ai]
         active.append(new_id)
 
     return LinkageTree(n, tuple(merges))
-
-
-def _ward_update(d_ca: float, d_cb: float, d_ab: float, na: int, nb: int, nc: int) -> float:
-    denom = na + nb + nc
-    sq = ((na + nc) * d_ca**2 + (nb + nc) * d_cb**2 - nc * d_ab**2) / denom
-    return math.sqrt(max(sq, 0.0))
 
 
 def quasi_diag_order(tree: LinkageTree) -> SeriationOrder:
@@ -263,11 +244,11 @@ def recursive_bisection(cov: CovMatrix, order: SeriationOrder) -> Portfolio:
     return Portfolio(cov.tickers, weights)
 
 
-def hrp_weights(returns: ReturnTable, method: str = "single") -> Portfolio:
+def hrp_weights(returns: ReturnTable) -> Portfolio:
     """Full pipeline from a return table to HRP weights."""
     corr = correlation(returns)
     dbar = codistance(corr_distance(corr))
-    tree = linkage_tree(dbar, method=method)
+    tree = single_linkage(dbar)
     order = quasi_diag_order(tree)
     return recursive_bisection(covariance(returns), order)
 

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..analytics import CumulativeCurve, ReturnTable, cumulative_returns
+from ..analytics import ReturnTable
 from ..backtest import WeightSchedule
-from .env import FeatureTable, annualized_sharpe, env_reset, env_step, state_features
+from .env import FeatureTable, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
 from .params import Hyperparams
 
@@ -159,16 +159,13 @@ def train(
     return net, log
 
 
-def evaluate(
-    net: QNetwork, returns_test: ReturnTable, hp: Hyperparams
-) -> tuple[WeightSchedule, CumulativeCurve, float]:
+def evaluate(net: QNetwork, returns_test: ReturnTable, hp: Hyperparams) -> WeightSchedule:
     """Roll the greedy policy over the test table.
 
     The emitted schedule covers every test date: equal weights during the
     initial lookback window, each action's adjusted weights for the days
     they were held, and the final weights over any trailing remainder.
-    Returns the schedule, the compounded cumulative-return curve, and the
-    annualized Sharpe (risk-free 0) of the schedule's daily returns.
+    Scoring it is :func:`portlab.backtest.run_backtest`'s job.
     """
     n_rows, n_assets = returns_test.values.shape
     weights = np.empty((n_rows, n_assets))
@@ -183,10 +180,7 @@ def evaluate(
         state = next_state
     weights[state.t :] = state.weights
 
-    schedule = WeightSchedule(returns_test.dates, weights)
-    curve = cumulative_returns(returns_test, schedule)
-    daily = (returns_test.values * weights).sum(axis=1)
-    return schedule, curve, annualized_sharpe(daily)
+    return WeightSchedule(returns_test.dates, weights)
 
 
 def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:

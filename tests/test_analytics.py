@@ -11,6 +11,10 @@ from portlab.errors import AlignmentError, InsufficientDataError, UndefinedSharp
 from portlab.mvp import equal_weight
 
 
+def _curve(returns, schedule):
+    return analytics.schedule_returns(returns, schedule)[1]
+
+
 class TestReturns:
     def test_simple_returns(self):
         rets = analytics.simple_returns(make_table([[100, 100], [110, 105], [99, 110.25]]))
@@ -91,6 +95,20 @@ class TestCovarianceCorrelation:
         assert corr.values[1, 1] == 1.0
         assert cov.values[1, 1] == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_corr_matrix_rejects_non_finite(self, bad):
+        values = np.eye(3)
+        values[0, 2] = values[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analytics.CorrMatrix(("A", "B", "C"), values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cov_matrix_rejects_non_finite(self, bad):
+        values = np.eye(3)
+        values[0, 2] = values[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            analytics.CovMatrix(("A", "B", "C"), values)
+
     @given(st.integers(0, 2**31 - 1))
     def test_standardized_covariance_equals_correlation(self, seed):
         rng = np.random.default_rng(seed)
@@ -152,13 +170,13 @@ class TestCumulativeReturns:
     def test_constant_returns_compound(self):
         rets = make_returns(np.full((3, 2), 0.01))
         schedule = static_schedule(equal_weight(2, rets.tickers), rets.dates)
-        curve = analytics.cumulative_returns(rets, schedule)
+        curve = _curve(rets, schedule)
         assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
 
     def test_zero_returns_flat(self):
         rets = make_returns(np.zeros((4, 2)))
         schedule = static_schedule(equal_weight(2, rets.tickers), rets.dates)
-        assert np.all(analytics.cumulative_returns(rets, schedule).values == 0.0)
+        assert np.all(_curve(rets, schedule).values == 0.0)
 
     def test_single_asset_passthrough(self, rng):
         values = rng.normal(0.001, 0.01, size=(10, 3))
@@ -168,7 +186,7 @@ class TestCumulativeReturns:
         schedule = static_schedule(
             Portfolio(rets.tickers, np.array([0.0, 1.0, 0.0])), rets.dates
         )
-        curve = analytics.cumulative_returns(rets, schedule)
+        curve = _curve(rets, schedule)
         expect = np.cumprod(1 + values[:, 1]) - 1
         assert curve.values == pytest.approx(expect, abs=1e-14)
 
@@ -176,7 +194,7 @@ class TestCumulativeReturns:
         values = rng.normal(0.0, 0.02, size=(15, 5))
         rets = make_returns(values)
         schedule = static_schedule(equal_weight(5, rets.tickers), rets.dates)
-        curve = analytics.cumulative_returns(rets, schedule)
+        curve = _curve(rets, schedule)
         expect = np.cumprod(1 + values.mean(axis=1)) - 1
         assert np.max(np.abs(curve.values - expect)) < 1e-12
 
@@ -185,12 +203,20 @@ class TestCumulativeReturns:
         other_dates = weekdays(4, start=rets.dates[0].replace(year=2021))
         schedule = WeightSchedule(other_dates, np.full((4, 2), 0.5))
         with pytest.raises(AlignmentError):
-            analytics.cumulative_returns(rets, schedule)
+            _curve(rets, schedule)
 
     def test_superset_schedule_aligns(self):
         rets = make_returns(np.full((3, 2), 0.01))
         longer = weekdays(5)
         schedule = WeightSchedule(longer, np.full((5, 2), 0.5))
         sub = analytics.ReturnTable(longer[1:4], rets.tickers, rets.values)
-        curve = analytics.cumulative_returns(sub, schedule)
+        curve = _curve(sub, schedule)
         assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
+
+    def test_daily_returns_are_weighted_row_sums(self, rng):
+        values = rng.normal(0.0, 0.02, size=(12, 3))
+        rets = make_returns(values)
+        weights = rng.dirichlet(np.ones(3), size=12)
+        daily, curve = analytics.schedule_returns(rets, WeightSchedule(rets.dates, weights))
+        assert np.array_equal(daily, (values * weights).sum(axis=1))
+        assert np.array_equal(curve.values, np.cumprod(1.0 + daily) - 1.0)

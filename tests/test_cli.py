@@ -1,15 +1,20 @@
 """CLI behaviour end to end.
 
-Bad input (a malformed saved model, an out-of-range config value) gives
-exit 1 and one ``error:`` line; a full pipeline run writes the same bytes
-every time; the bundled fixture regenerates byte for byte.
+Bad input (a malformed saved model, an out-of-range config value, prices
+whose returns overflow) gives exit 1 and one ``error:`` line; a full
+pipeline run writes the same bytes every time; the bundled fixture
+regenerates byte for byte.
 """
 
 from __future__ import annotations
 
+from datetime import date
+
+import numpy as np
 import pytest
 
 from portlab import cli, synthetic
+from portlab.market_data import PriceTable, write_prices
 from portlab.rl import Hyperparams, qnet_init, save_qnetwork
 
 FIXTURE_ASSETS = 10
@@ -100,6 +105,41 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
     assert len(err) == 1 and err[0].startswith("error: ")
     assert key in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def _extreme_prices(path, low: float, high: float, columns: int) -> None:
+    """700 weekdays of fixture-like prices; the first ``columns`` alternate low/high."""
+    table = synthetic.drift_price_table(n_assets=4, n_days=700, start=date(2018, 1, 1))
+    closes = table.closes.copy()
+    closes[:, :columns] = np.where(np.arange(700) % 2 == 0, low, high)[:, None]
+    write_prices(PriceTable(table.dates, table.tickers, closes), path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("low", "high", "columns", "command", "message"),
+    [
+        (1e-300, 1e300, 1, "mvp", "return of STK0 on 2018-01-02 overflows"),
+        (1.0, 1e6, 2, "mvp", "portfolio cumulative return overflows on"),
+        (1.0, 1e6, 2, "rl-eval", "portfolio cumulative return overflows on"),
+    ],
+    ids=["return-overflows", "curve-overflows", "rl-curve-overflows"],
+)
+def test_non_finite_returns_give_one_line_error(
+    tmp_path, capsys, low, high, columns, command, message
+):
+    prices = tmp_path / "prices.csv"
+    _extreme_prices(prices, low, high, columns)
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices, "mc_samples = 100\nrl.hidden_dims = 8\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    save_qnetwork(qnet_init(4, Hyperparams(hidden_dims=(8,))), out / "rl_model.txt")
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
 
 
 def _run_pipeline(config, out) -> dict[str, bytes]:

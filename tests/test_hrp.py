@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +50,72 @@ def naive_agglomeration(values: np.ndarray):
     return merges
 
 
+def incremental_single_linkage(values: np.ndarray) -> LinkageTree:
+    """Reference: the pure-Python incremental loop single linkage replaced.
+
+    Scans every active pair with a strict ``<`` (so the lexicographically
+    smallest (left, right) pair wins a tie) and applies the min update to
+    each remaining cluster one at a time; child order as in the
+    implementation.
+    """
+    n = values.shape[0]
+    colsums = values.sum(axis=0)
+    total = 2 * n - 1
+    dm = np.full((total, total), np.inf)
+    dm[:n, :n] = values
+    sizes = np.ones(total, dtype=int)
+    active = list(range(n))
+    merges = []
+    for step in range(n - 1):
+        best_a = best_b = -1
+        best_dist = math.inf
+        for ai in range(len(active)):
+            for bi in range(ai + 1, len(active)):
+                a, b = active[ai], active[bi]
+                if dm[a, b] < best_dist:
+                    best_dist = dm[a, b]
+                    best_a, best_b = a, b
+        new_id = n + step
+        sizes[new_id] = sizes[best_a] + sizes[best_b]
+        left, right = best_a, best_b
+        if right < n and (colsums[right], right) < (colsums[left], left):
+            left, right = right, left
+        merges.append(MergeRecord(left, right, float(best_dist), int(sizes[new_id])))
+        for c in active:
+            if c == best_a or c == best_b:
+                continue
+            dm[new_id, c] = dm[c, new_id] = min(dm[c, best_a], dm[c, best_b])
+        active.remove(best_a)
+        active.remove(best_b)
+        active.append(new_id)
+    return LinkageTree(n, tuple(merges))
+
+
+def tie_heavy(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Symmetric integer distances in {1, 2, 3}: most merges are exact ties."""
+    raw = rng.integers(1, 4, size=(n, n)).astype(float)
+    values = np.triu(raw, 1)
+    return values + values.T
+
+
+def codistance_3d(values: np.ndarray) -> np.ndarray:
+    """The (n, n, n) broadcast form of the co-distance."""
+    diff = values[:, :, None] - values[:, None, :]
+    return np.sqrt((diff * diff).sum(axis=0))
+
+
+def random_codistance(rng: np.random.Generator, n: int) -> DistanceMatrix:
+    return hrp.codistance(hrp.corr_distance(correlation(random_returns(rng, 3 * n, n))))
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_off_diagonal(self, bad):
+        values = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            dist(values)
+
+
 class TestCorrDistance:
     def test_bounds_and_midpoint(self):
         corr = CorrMatrix(
@@ -83,6 +152,22 @@ class TestCodistance:
         assert np.array_equal(dbar.values, dbar.values.T)
         assert np.all(np.diag(dbar.values) == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 7, 40, 120])
+    def test_equals_broadcast_formula_bit_for_bit(self, rng, n):
+        d = hrp.corr_distance(correlation(random_returns(rng, 3 * n, n)))
+        assert np.array_equal(hrp.codistance(d).values, codistance_3d(d.values))
+
+    def test_peak_memory_is_quadratic(self, rng):
+        # the (n, n, n) broadcast would need 200**3 * 8 bytes = 64 MB per temporary
+        d = hrp.corr_distance(correlation(random_returns(rng, 300, 200)))
+        tracemalloc.start()
+        try:
+            hrp.codistance(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 class TestSingleLinkage:
     def test_hand_trace_three_leaves(self):
@@ -97,14 +182,25 @@ class TestSingleLinkage:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2024)
+        inputs = []
         for _ in range(120):
             n = int(rng.integers(2, 7))
             raw = rng.uniform(0.01, 2.0, size=(n, n))
             values = (raw + raw.T) / 2
             np.fill_diagonal(values, 0.0)
+            inputs.append(values)
+        # exact ties: the lexicographically smallest (left, right) pair merges first
+        inputs += [tie_heavy(rng, int(rng.integers(2, 8))) for _ in range(200)]
+        for values in inputs:
             tree = hrp.single_linkage(dist(values))
             got = [(m.left, m.right, m.distance, m.size) for m in tree.merges]
             assert got == naive_agglomeration(values)
+
+    @pytest.mark.parametrize("n", [20, 60, 150])
+    def test_matches_incremental_reference(self, n):
+        rng = np.random.default_rng(n)
+        for values in (random_codistance(rng, n).values, tie_heavy(rng, n)):
+            assert hrp.single_linkage(dist(values)) == incremental_single_linkage(values)
 
     def test_merge_distances_non_decreasing(self, rng):
         for _ in range(20):
@@ -112,16 +208,6 @@ class TestSingleLinkage:
             tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(correlation(rets))))
             distances = [m.distance for m in tree.merges]
             assert distances == sorted(distances)
-
-    def test_ward_mode_builds_valid_tree(self):
-        d = dist([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        tree = hrp.linkage_tree(d, method="ward")
-        assert tree.n_leaves == 3
-        assert len(tree.merges) == 2
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            hrp.linkage_tree(dist([[0.0, 1.0], [1.0, 0.0]]), method="average")
 
 
 class TestLinkageTree:
@@ -141,6 +227,13 @@ class TestLinkageTree:
             LinkageTree(
                 3,
                 (MergeRecord(0, 1, 2.0, 2), MergeRecord(2, 3, 1.0, 3)),
+            )
+
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="finite"):
+            LinkageTree(
+                3,
+                (MergeRecord(0, 1, math.nan, 2), MergeRecord(2, 3, 1.0, 3)),
             )
 
     def test_records_round_trip(self):
