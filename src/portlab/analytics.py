@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -168,8 +168,16 @@ def volatility(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> AssetS
         raise InsufficientDataError(
             f"volatility needs at least 2 return rows, got {returns.n_rows}"
         )
-    mean_daily = returns.values.mean(axis=0)
-    daily_vol = returns.values.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_daily = returns.values.mean(axis=0)
+        daily_vol = returns.values.std(axis=0, ddof=1)
+    # a mean that overflows makes the deviations, and so the std, non-finite
+    bad = ~np.isfinite(daily_vol)
+    if bad.any():
+        raise NonFiniteError(
+            f"daily volatility of {returns.tickers[int(np.argmax(bad))]} overflows float64 "
+            f"over {returns.dates[0]} to {returns.dates[-1]}"
+        )
     root = math.sqrt(trading_days)
     return AssetStats(
         tickers=returns.tickers,
@@ -180,17 +188,34 @@ def volatility(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> AssetS
     )
 
 
-def covariance_values(values: np.ndarray) -> np.ndarray:
-    """Sample covariance (divisor T-1) of the columns of a T x N array."""
+def covariance_values(values: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+    """Sample covariance (divisor T-1) of the columns of a T x N array.
+
+    Raises :class:`NonFiniteError` if an entry overflows float64, naming
+    the first column involved: ``names[j]`` when given, else its index.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
         raise InsufficientDataError("covariance needs at least 2 rows")
-    return np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    bad = ~np.isfinite(cov)
+    if bad.any():
+        col = int(np.argwhere(bad)[0][0])
+        name = f"column {col}" if names is None else names[col]
+        raise NonFiniteError(
+            f"sample covariance of {name} over {values.shape[0]} rows overflows float64"
+        )
+    return cov
 
 
-def correlation_values(values: np.ndarray) -> np.ndarray:
-    """Correlation of the columns, with zero-variance columns mapped to 0."""
-    cov = covariance_values(values)
+def correlation_values(values: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+    """Correlation of the columns, with zero-variance columns mapped to 0.
+
+    A finite covariance gives finite correlations, so the one finiteness
+    check is :func:`covariance_values`'s.
+    """
+    cov = covariance_values(values, names)
     var = np.diag(cov)
     degenerate = var <= VARIANCE_FLOOR
     std = np.sqrt(np.where(degenerate, 1.0, var))
@@ -203,11 +228,11 @@ def correlation_values(values: np.ndarray) -> np.ndarray:
 
 
 def covariance(returns: ReturnTable) -> CovMatrix:
-    return CovMatrix(returns.tickers, covariance_values(returns.values))
+    return CovMatrix(returns.tickers, covariance_values(returns.values, returns.tickers))
 
 
 def correlation(returns: ReturnTable) -> CorrMatrix:
-    return CorrMatrix(returns.tickers, correlation_values(returns.values))
+    return CorrMatrix(returns.tickers, correlation_values(returns.values, returns.tickers))
 
 
 def portfolio_return(weights: Portfolio | np.ndarray, mean_returns: np.ndarray) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .analytics import TRADING_DAYS, CumulativeCurve, ReturnTable, schedule_returns, sharpe_ratio
 from .errors import EmptyScheduleError, PortlabError
+from .jsonfile import write_json
 from .mvp import Portfolio
 
 METHOD_ORDER = ("MVP", "HRP", "EQUAL", "RL")
@@ -145,8 +146,8 @@ def compare_methods(reports: list[BacktestReport]) -> ComparisonTable:
     return ComparisonTable(datasets, METHOD_ORDER, cells)
 
 
-def report_to_json(report: BacktestReport) -> str:
-    """Deterministic JSON body: {method, phase, dataset, risk, sharpe, curve, ...}."""
+def write_report(report: BacktestReport, path: str | Path) -> None:
+    """Deterministic JSON: {method, phase, dataset, risk, sharpe, curve, ...}."""
     payload = {
         "method": report.method,
         "phase": report.phase,
@@ -160,7 +161,7 @@ def report_to_json(report: BacktestReport) -> str:
             for d, v in zip(report.curve.dates, report.curve.values)
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_json(path, payload)
 
 
 def report_from_json(text: str) -> BacktestReport:
@@ -179,10 +180,6 @@ def report_from_json(text: str) -> BacktestReport:
         sharpe=float(payload["sharpe"]),
         curve=curve,
     )
-
-
-def write_report(report: BacktestReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report), encoding="utf-8")
 
 
 def read_report(path: str | Path) -> BacktestReport:

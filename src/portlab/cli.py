@@ -12,7 +12,6 @@ overrides the configured seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_out_dir, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
 from .floatcsv import write_float_csv
+from .jsonfile import write_json
 from .market_data import DateSplit, forward_fill, load_prices, split_by_date
 from .rl import (
     evaluate,
@@ -77,10 +77,7 @@ def cmd_hrp(config: RunConfig) -> None:
     order = hrp.quasi_diag_order(tree)
     portfolio = hrp.recursive_bisection(analytics.covariance(data.train_returns), order)
 
-    (out / "hrp_linkage.json").write_text(
-        json.dumps(hrp.linkage_to_records(tree), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "hrp_linkage.json", hrp.linkage_to_records(tree))
     lines = ["ticker,weight"]
     lines += [f"{t},{w!r}" for t, w in zip(portfolio.tickers, portfolio.weights)]
     (out / "hrp_weight_bars.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -197,7 +194,7 @@ def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> N
         "tickers": list(portfolio.tickers),
         "weights": [float(w) for w in portfolio.weights],
     }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def _write_curve_csv(curve: analytics.CumulativeCurve, path: Path) -> None:

@@ -5,8 +5,11 @@ seeded from the hyperparameters drives network init, exploration, and
 replay sampling in a fixed order. Each :func:`train` and
 :func:`evaluate` call builds one :class:`~.env.FeatureTable` for its
 return table, so every correlation window is computed once per call.
-Transitions live in preallocated arrays inside :class:`ReplayBuffer`
-and reach the network as a :class:`ReplayBatch` of arrays.
+Transitions live in preallocated arrays inside :class:`ReplayBuffer`:
+each slot's state and next-state feature vectors side by side in one
+``(capacity, 2 * state_dim)`` row, plus action, reward and done arrays.
+A sample gathers the drawn rows of that array once and hands the two
+halves to the network as views, inside a :class:`ReplayBatch`.
 """
 
 from __future__ import annotations
@@ -40,18 +43,20 @@ class ReplayBuffer:
     """Bounded transition store with ring semantics: oldest evicted first.
 
     Transitions are kept in preallocated arrays, one row per slot; push
-    number ``p`` (from 0) writes slot ``p % capacity``. The arrays are
-    allocated uninitialised, so only the slots written so far touch memory.
+    number ``p`` (from 0) writes slot ``p % capacity``. Row ``i`` of
+    ``_state_pairs`` holds slot ``i``'s state followed by its next state.
+    The arrays are allocated uninitialised, so only the slots written so
+    far touch memory.
     """
 
     def __init__(self, capacity: int, state_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._states = np.empty((capacity, state_dim))
+        self._dim = state_dim
+        self._state_pairs = np.empty((capacity, 2 * state_dim))
         self._actions = np.empty(capacity, dtype=int)
         self._rewards = np.empty(capacity)
-        self._next_states = np.empty((capacity, state_dim))
         self._dones = np.empty(capacity, dtype=bool)
         self._pushes = 0
 
@@ -66,10 +71,11 @@ class ReplayBuffer:
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
         slot = self._pushes % self.capacity
-        self._states[slot] = state
+        pair = self._state_pairs[slot]
+        pair[: self._dim] = state
+        pair[self._dim :] = next_state
         self._actions[slot] = action
         self._rewards[slot] = reward
-        self._next_states[slot] = next_state
         self._dones[slot] = done
         self._pushes += 1
 
@@ -77,13 +83,18 @@ class ReplayBuffer:
         return min(self._pushes, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> ReplayBatch:
-        """Uniform sample with replacement."""
+        """Uniform sample with replacement.
+
+        ``states`` and ``next_states`` are views into one gathered
+        ``(batch_size, 2 * state_dim)`` array.
+        """
         idx = rng.integers(0, len(self), size=batch_size)
+        pairs = self._state_pairs.take(idx, axis=0)
         return ReplayBatch(
-            self._states[idx],
+            pairs[:, : self._dim],
             self._actions[idx],
             self._rewards[idx],
-            self._next_states[idx],
+            pairs[:, self._dim :],
             self._dones[idx],
         )
 
@@ -192,14 +203,3 @@ def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:
             writer.writerow(
                 [row.episode, repr(row.cum_reward), repr(row.mean_loss), repr(row.epsilon)]
             )
-
-
-def read_training_log(path: str | Path) -> list[EpisodeStats]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [
-            EpisodeStats(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in reader
-            if r
-        ]

@@ -11,6 +11,12 @@ A rollout visits ``t = window, window + rebalance_period, ...`` whatever
 actions it takes, so the correlation features depend only on ``t``. A
 :class:`FeatureTable` computes them once per return table;
 :func:`env_reset` and :func:`env_step` read them from it.
+
+Checks run where their input can change: the public ``EnvState(...)``
+checks features and weights in full; a :class:`FeatureTable` checks the
+[-1, 1] range of all its rows once, when built; :func:`env_step` checks
+only what it computes, the new weights (on the simplex) and the reward
+(finite), and builds the next state without re-checking its features.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytics import TRADING_DAYS, ReturnTable, correlation_values
-from ..errors import InsufficientDataError
+from ..errors import InsufficientDataError, NonFiniteError
 from .params import Hyperparams
 
 VOL_FLOOR = 1e-8
@@ -60,12 +66,39 @@ class EnvState:
     def __post_init__(self) -> None:
         corr = np.asarray(self.corr_features, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if np.any(corr < -1.0) or np.any(corr > 1.0):
-            raise ValueError("correlation features must lie in [-1, 1]")
-        if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must lie on the simplex")
+        _check_correlations(corr)
+        _check_simplex(weights)
         object.__setattr__(self, "corr_features", corr)
         object.__setattr__(self, "weights", weights)
+
+
+def _state_from_table(table: FeatureTable, t: int, weights: np.ndarray) -> EnvState:
+    """The :class:`EnvState` at ``t``, its features read from ``table``.
+
+    The table checked its rows when built, so only the weights are checked
+    here; the feature row is neither copied nor re-checked.
+    """
+    _check_simplex(weights)
+    state = object.__new__(EnvState)
+    object.__setattr__(state, "corr_features", table.at(t))
+    object.__setattr__(state, "weights", weights)
+    object.__setattr__(state, "t", t)
+    return state
+
+
+def _check_correlations(corr: np.ndarray) -> None:
+    # written so that NaN fails
+    if not (np.all(corr >= -1.0) and np.all(corr <= 1.0)):
+        raise ValueError("correlation features must lie in [-1, 1]")
+
+
+def _check_simplex(weights: np.ndarray) -> None:
+    # two reductions, written so that NaN fails
+    if not (
+        np.minimum.reduce(weights) >= 0.0
+        and abs(float(np.add.reduce(weights)) - 1.0) <= 1e-9
+    ):
+        raise ValueError("weights must lie on the simplex")
 
 
 def state_features(state: EnvState) -> np.ndarray:
@@ -86,7 +119,8 @@ def apply_action(weights: np.ndarray, action: int, delta: float) -> np.ndarray:
         adjusted[asset] = max(0.0, adjusted[asset] - delta)
     else:
         adjusted[asset] += delta
-    return adjusted / adjusted.sum()
+    adjusted /= np.add.reduce(adjusted)
+    return adjusted
 
 
 class FeatureTable:
@@ -94,7 +128,9 @@ class FeatureTable:
 
     Row ``k`` holds the upper triangle (``k=1``, row-major) of the
     correlation matrix of ``returns.values[t - window : t]`` for
-    ``t = window + k * rebalance_period``, up to ``t <= n_rows``.
+    ``t = window + k * rebalance_period``, up to ``t <= n_rows``. All rows
+    are checked to lie in [-1, 1] once, when the table is built; a window
+    whose covariance overflows raises :class:`NonFiniteError` naming its dates.
     """
 
     def __init__(self, returns: ReturnTable, hp: Hyperparams):
@@ -107,12 +143,18 @@ class FeatureTable:
         self.window = hp.window
         self.period = hp.rebalance_period
         iu = np.triu_indices(returns.n_assets, k=1)
-        self.values = np.stack(
-            [
-                correlation_values(returns.values[t - hp.window : t])[iu]
-                for t in range(hp.window, returns.n_rows + 1, hp.rebalance_period)
-            ]
-        )
+        rows = []
+        for t in range(hp.window, returns.n_rows + 1, hp.rebalance_period):
+            start = t - hp.window
+            try:
+                corr = correlation_values(returns.values[start:t], returns.tickers)
+            except NonFiniteError as exc:
+                raise NonFiniteError(
+                    f"in the window {returns.dates[start]} to {returns.dates[t - 1]}: {exc}"
+                ) from None
+            rows.append(corr[iu])
+        self.values = np.stack(rows)
+        _check_correlations(self.values)
 
     def at(self, t: int) -> np.ndarray:
         """Features of the window ending just before row ``t``."""
@@ -148,12 +190,15 @@ def env_step(
             f"cannot step: only {returns.n_rows - t} rows left at t={t}"
         )
     weights = apply_action(state.weights, action, hp.step_delta)
-    held = returns.values[t : t + hp.rebalance_period] @ weights
-    reward = annualized_sharpe(held)
-
     t_next = t + hp.rebalance_period
+    next_state = _state_from_table(table, t_next, weights)
+    reward = annualized_sharpe(returns.values[t:t_next] @ weights)
+    if not math.isfinite(reward):
+        raise NonFiniteError(
+            f"reward over {returns.dates[t]} to {returns.dates[t_next - 1]} is not finite"
+        )
     done = (returns.n_rows - t_next) < hp.rebalance_period
-    return EnvState(table.at(t_next), weights, t_next), reward, done
+    return next_state, reward, done
 
 
 def annualized_sharpe(
@@ -162,10 +207,22 @@ def annualized_sharpe(
     """Mean/std Sharpe of a daily return stream, annualized, risk-free 0.
 
     The annualized volatility is floored at VOL_FLOOR so the value stays
-    finite on degenerate (constant or single-day) windows.
+    finite on degenerate (constant or single-day) windows; a volatility
+    that overflows float64 gives NaN. The reductions are the ones
+    ``ndarray.mean()`` and ``ndarray.std(ddof=1)`` run, called directly,
+    so the value is the same to the bit.
     """
     daily = np.asarray(daily_returns, dtype=float)
-    mean = float(daily.mean()) * trading_days
-    std = float(daily.std(ddof=1)) if daily.shape[0] >= 2 else 0.0
+    n = daily.shape[0]
+    daily_mean = np.add.reduce(daily) / n
+    mean = float(daily_mean) * trading_days
+    if n >= 2:
+        dev = daily - daily_mean
+        dev *= dev
+        std = math.sqrt(np.add.reduce(dev) / (n - 1))
+    else:
+        std = 0.0
     vol = max(std * math.sqrt(trading_days), VOL_FLOOR)
+    if vol == math.inf:
+        return math.nan
     return mean / vol

@@ -5,10 +5,20 @@ plain gradient descent on the mean squared error between the taken
 action's Q-value and its TD target; gradients flow only through the
 taken action's output. Everything is float64 numpy so the analytic
 gradients can be checked against central finite differences.
+
+All parameters live in one flat vector, ``QNetwork.params``, laid out
+layer by layer with each weight matrix (row-major) before its bias, the
+order :func:`save_qnetwork` writes. ``weights[i]`` and ``biases[i]`` are
+views into it. The backward pass writes into a gradient vector of the
+same layout, so a training step updates every parameter with one
+in-place ``params -= learning_rate * grad``. Each layer computes
+``a @ w``, adds the bias and rectifies in place: the same float
+operations in the same order as ``max(a @ w + b, 0)``.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -25,7 +35,10 @@ if TYPE_CHECKING:
 class QNetwork:
     """Per-layer weight matrices (fan_in x fan_out) and bias vectors.
 
-    Mutable during training; treat as immutable once training finished.
+    ``weights[i]`` and ``biases[i]`` are views into the flat ``params``
+    vector, so writing into them (``w -= ...``, ``w[i, j] = ...``) updates
+    ``params``. Mutable during training; treat as immutable once training
+    finished.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -41,8 +54,14 @@ class QNetwork:
             np.all(np.isfinite(b)) for b in biases
         ):
             raise ValueError("parameters must be finite")
-        self.weights = [np.array(w, dtype=float) for w in weights]
-        self.biases = [np.array(b, dtype=float) for b in biases]
+        dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
+        self.params = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        self.weights, self.biases = _layer_views(self.params, dims)
+        for view, value in zip(self.weights + self.biases, [*weights, *biases]):
+            view[...] = value
+        # written by every training step, same layout as params
+        self._grad = np.zeros_like(self.params)
+        self._grad_w, self._grad_b = _layer_views(self._grad, dims)
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -57,7 +76,22 @@ class QNetwork:
         return self.weights[-1].shape[1]
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+
+def _layer_views(
+    flat: np.ndarray, dims: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into a flat parameter-layout vector."""
+    weights = []
+    biases = []
+    start = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+        biases.append(flat[start : start + fan_out])
+        start += fan_out
+    return weights, biases
 
 
 def qnet_init(
@@ -86,48 +120,33 @@ def qnet_forward(net: QNetwork, features: np.ndarray) -> np.ndarray:
     return _forward_batch(net, features[None, :])[0]
 
 
-def _forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
-    last = len(net.weights) - 1
+def _forward_batch(
+    net: QNetwork, x: np.ndarray, hidden: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Output rows for the input rows ``x``; appends each hidden activation to ``hidden``."""
     a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
+        if hidden is not None:
+            hidden.append(a)
+    a = a @ net.weights[-1]
+    a += net.biases[-1]
     return a
-
-
-def _forward_cached(net: QNetwork, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Batch forward keeping each layer's input activation for backprop."""
-    last = len(net.weights) - 1
-    activations = [x]
-    a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
-        if i != last:
-            activations.append(a)
-    return activations, a
-
-
-def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> float:
-    """Bellman backup for one transition: ``r + gamma * max_a' Q(s', a')``.
-
-    Terminal transitions bootstrap nothing and return the reward alone.
-    :func:`td_targets` applies the same rule to a DQN batch; the tabular
-    convergence check calls this scalar form.
-    """
-    if done:
-        return float(reward)
-    return float(reward + discount * max_next_q)
 
 
 def td_targets(batch: ReplayBatch, net: QNetwork, discount: float) -> np.ndarray:
     """TD target per batch row, bootstrapping from ``net`` on the next states.
 
-    The vectorized form of :func:`td_target`: done rows take the reward
-    alone, the others ``reward + discount * max_a' Q(next_state, a')``.
+    The Bellman backup ``reward + discount * max_a' Q(next_state, a')``;
+    done rows bootstrap nothing and take the reward alone.
     """
-    max_next = _forward_batch(net, batch.next_states).max(axis=1)
-    return np.where(batch.dones, batch.rewards, batch.rewards + discount * max_next)
+    bootstrap = np.maximum.reduce(_forward_batch(net, batch.next_states), axis=1)
+    bootstrap *= discount
+    bootstrap += batch.rewards
+    np.copyto(bootstrap, batch.rewards, where=batch.dones)
+    return bootstrap
 
 
 def qnet_train_step(
@@ -142,51 +161,62 @@ def qnet_train_step(
     Reads the batch's ``states`` and ``actions`` arrays; ``targets`` has
     one entry per batch row.
     """
-    loss, grad_w, grad_b = _loss_and_grads(
-        net, batch.states, batch.actions, np.asarray(targets, float)
+    loss = _backprop(
+        net, batch.states, batch.actions, np.asarray(targets, float), net._grad_w, net._grad_b
     )
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         where = "" if step is None else f" at step {step}"
         raise DivergenceError(f"non-finite training loss{where}")
-    for w, b, gw, gb in zip(net.weights, net.biases, grad_w, grad_b):
-        w -= learning_rate * gw
-        b -= learning_rate * gb
+    grad = net._grad
+    grad *= learning_rate
+    net.params -= grad
     return loss
 
 
 def _loss_and_grads(
     net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error on the taken actions' Q-values, with its gradients."""
+    """Mean squared error on the taken actions' Q-values, with fresh per-layer gradients."""
+    grad_w, grad_b = _layer_views(np.empty_like(net.params), net.layer_dims)
+    loss = _backprop(net, x, actions, targets, grad_w, grad_b)
+    return loss, grad_w, grad_b
+
+
+def _backprop(
+    net: QNetwork,
+    x: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    grad_w: list[np.ndarray],
+    grad_b: list[np.ndarray],
+) -> float:
+    """Write the loss gradients into ``grad_w``/``grad_b``; return the loss."""
     batch_size = x.shape[0]
-    activations, out = _forward_cached(net, x)
+    activations = [x]
+    out = _forward_batch(net, x, activations)
     rows = np.arange(batch_size)
     err = out[rows, actions] - targets
-    loss = float(np.mean(err * err))
+    loss = float(np.add.reduce(err * err) / batch_size)
 
-    d_out = np.zeros_like(out)
-    d_out[rows, actions] = 2.0 * err / batch_size
-
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(net.biases)
-    delta = d_out
+    # the output activations are spent: reuse them as d(loss)/d(out)
+    delta = out
+    delta.fill(0.0)
+    delta[rows, actions] = 2.0 * err / batch_size
     for i in range(len(net.weights) - 1, -1, -1):
-        a_prev = activations[i]
-        grad_w[i] = a_prev.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(activations[i].T, delta, out=grad_w[i])
+        np.add.reduce(delta, axis=0, out=grad_b[i])
         if i > 0:
             # rectifier gate: the stored activation is max(z, 0), so its
             # positivity marks where gradient passes
-            delta = (delta @ net.weights[i].T) * (activations[i] > 0)
-    return loss, grad_w, grad_b
+            delta = delta @ net.weights[i].T
+            delta *= activations[i] > 0
+    return loss
 
 
 def save_qnetwork(net: QNetwork, path: str | Path) -> None:
     """Write dims then parameters (row-major per layer, weights before biases)."""
     lines = ["qnetwork " + " ".join(str(d) for d in net.layer_dims)]
-    for w, b in zip(net.weights, net.biases):
-        lines.extend(repr(float(v)) for v in w.ravel())
-        lines.extend(repr(float(v)) for v in b)
+    lines.extend(map(repr, net.params.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -214,14 +244,7 @@ def load_qnetwork(path: str | Path) -> QNetwork:
         values = np.array([float(v) for v in text[1:]])
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
-    weights = []
-    biases = []
-    start = 0
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        weights.append(values[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
-        start += fan_in * fan_out
-        biases.append(values[start : start + fan_out])
-        start += fan_out
+    weights, biases = _layer_views(values, dims)
     try:
         return QNetwork(weights, biases)
     except ValueError as exc:

@@ -1,17 +1,32 @@
-"""Tabular Q-learning sanity check against value iteration.
+"""Reference forms of DQN pieces that only the tests use.
 
-Validates the TD update rule on a tiny solvable MDP: the same Bellman
-backup used for DQN targets, applied to a lookup table, must converge to
-the value-iteration fixed point.
+* :func:`td_target`, the scalar Bellman backup that
+  :func:`portlab.rl.network.td_targets` vectorizes;
+* a tabular Q-learning check: the same backup applied to a lookup table
+  on a tiny solvable MDP must converge to the value-iteration fixed point;
+* :func:`read_training_log`, the inverse of
+  :func:`portlab.rl.write_training_log`.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .network import td_target
+from portlab.rl import EpisodeStats
+
+
+def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> float:
+    """Bellman backup for one transition: ``r + gamma * max_a' Q(s', a')``.
+
+    Terminal transitions bootstrap nothing and return the reward alone.
+    """
+    if done:
+        return float(reward)
+    return float(reward + discount * max_next_q)
 
 
 @dataclass(frozen=True)
@@ -65,7 +80,7 @@ def value_iteration(
 def tabular_q_check(
     mdp: ToyMDP, discount: float, alpha: float, steps: int, seed: int = 0
 ) -> float:
-    """Max |Q - Q*| after running tabular Q-learning with the module's TD rule.
+    """Max |Q - Q*| after running tabular Q-learning with :func:`td_target`.
 
     Exploring starts: each step samples a uniformly random (state, action)
     pair, applies the deterministic dynamics, and nudges the table toward
@@ -81,3 +96,14 @@ def tabular_q_check(
         q[s, a] += alpha * (target - q[s, a])
     q_star = value_iteration(mdp, discount)
     return float(np.max(np.abs(q - q_star)))
+
+
+def read_training_log(path: str | Path) -> list[EpisodeStats]:
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [
+            EpisodeStats(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+            for r in reader
+            if r
+        ]

@@ -7,7 +7,12 @@ from hypothesis import given, strategies as st
 from helpers import make_returns, make_table, random_cov, weekdays
 from portlab import analytics
 from portlab.backtest import WeightSchedule, static_schedule
-from portlab.errors import AlignmentError, InsufficientDataError, UndefinedSharpeError
+from portlab.errors import (
+    AlignmentError,
+    InsufficientDataError,
+    NonFiniteError,
+    UndefinedSharpeError,
+)
 from portlab.mvp import equal_weight
 
 
@@ -108,6 +113,25 @@ class TestCovarianceCorrelation:
         values[0, 2] = values[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             analytics.CovMatrix(("A", "B", "C"), values)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_names_the_column(self):
+        # squares of 1e300 overflow float64 although every return is finite
+        values = np.array([[0.01, 1e300], [0.02, -1.0], [0.0, 1e300]])
+        with pytest.raises(NonFiniteError, match="column 1 over 3 rows"):
+            analytics.covariance_values(values)
+        with pytest.raises(NonFiniteError, match="of B over 3 rows"):
+            analytics.correlation_values(values, ("A", "B"))
+        rets = make_returns(values, tickers=("A", "B"))
+        for fn in (analytics.covariance, analytics.correlation):
+            with pytest.raises(NonFiniteError, match="of B"):
+                fn(rets)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_volatility_names_the_asset(self):
+        rets = make_returns([[0.01, 1e300], [0.02, -1.0], [0.0, 1e300]], tickers=("A", "B"))
+        with pytest.raises(NonFiniteError, match="volatility of B overflows"):
+            analytics.volatility(rets)
 
     @given(st.integers(0, 2**31 - 1))
     def test_standardized_covariance_equals_correlation(self, seed):

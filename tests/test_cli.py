@@ -1,7 +1,7 @@
 """CLI behaviour end to end.
 
 Bad input (a malformed saved model, an out-of-range config value, prices
-whose returns overflow) gives exit 1 and one ``error:`` line; a full
+whose returns or statistics overflow) gives exit 1 and one ``error:`` line; a full
 pipeline run writes the same bytes every time; the bundled fixture
 regenerates byte for byte.
 """
@@ -136,6 +136,29 @@ def test_non_finite_returns_give_one_line_error(
     out.mkdir()
     save_qnetwork(qnet_init(4, Hyperparams(hidden_dims=(8,))), out / "rl_model.txt")
     code = cli.main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        ("mvp", "daily volatility of STK0 overflows float64"),
+        ("hrp", "sample covariance of STK0 over 349 rows overflows float64"),
+        ("rl-train", "in the window 2018-01-02 to 2018-03-26: sample covariance of STK0"),
+    ],
+    ids=["mvp", "hrp", "rl-train"],
+)
+def test_overflowing_statistics_give_one_line_error(tmp_path, capsys, command, message):
+    # returns of 1e300 and -1 are finite, but their squares overflow float64
+    prices = tmp_path / "prices.csv"
+    _extreme_prices(prices, 1e-150, 1e150, 2)
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices, "mc_samples = 100\nrl.hidden_dims = 8\n")
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err

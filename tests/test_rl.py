@@ -10,15 +10,19 @@ for bit, since it only changes how the same data is stored.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import portlab.rl.env
 from helpers import random_returns
-from portlab.analytics import correlation_values
-from portlab.errors import DivergenceError, InsufficientDataError
+from oracles import td_target
+from portlab.analytics import ReturnTable, correlation_values
+from portlab.errors import DivergenceError, InsufficientDataError, NonFiniteError
 from portlab.rl import (
     EnvState,
     EpisodeStats,
@@ -27,13 +31,16 @@ from portlab.rl import (
     ReplayBuffer,
     annualized_sharpe,
     apply_action,
+    env_reset,
+    env_step,
     epsilon_greedy,
+    hold_action,
     qnet_forward,
     qnet_init,
     state_features,
-    td_target,
     train,
 )
+from portlab.rl.env import VOL_FLOOR
 from portlab.rl.network import _forward_batch, _loss_and_grads
 
 
@@ -230,3 +237,75 @@ def test_divergence_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="non-finite training loss at step"):
             train(returns, hp)
+
+
+def _sharpe_via_ndarray_methods(daily: np.ndarray, trading_days: int = 252) -> float:
+    """``annualized_sharpe`` as written with ``ndarray.mean()``/``std(ddof=1)``."""
+    mean = float(daily.mean()) * trading_days
+    std = float(daily.std(ddof=1)) if daily.shape[0] >= 2 else 0.0
+    vol = max(std * math.sqrt(trading_days), VOL_FLOOR)
+    return mean / vol
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+    st.integers(-8, 3),
+)
+def test_annualized_sharpe_equals_ndarray_methods_bit_for_bit(unit, exponent):
+    daily = np.array(unit) * 10.0**exponent
+    got = annualized_sharpe(daily)
+    want = _sharpe_via_ndarray_methods(daily)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_annualized_sharpe_of_overflowing_volatility_is_nan():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(annualized_sharpe(np.array([1e300, -1e300, 1e300])))
+
+
+@pytest.mark.parametrize(
+    ("corr", "weights"),
+    [
+        ([1.0000001], [0.5, 0.5]),
+        ([-1.5], [0.5, 0.5]),
+        ([math.nan], [0.5, 0.5]),
+        ([0.2], [0.6, 0.6]),
+        ([0.2], [-0.1, 1.1]),
+        ([0.2], [math.nan, 1.0]),
+    ],
+    ids=["corr-above-1", "corr-below-minus-1", "corr-nan", "sum-1.2", "negative", "weight-nan"],
+)
+def test_env_state_rejects_bad_features_and_weights(corr, weights):
+    with pytest.raises(ValueError, match=r"\[-1, 1\]|simplex"):
+        EnvState(np.array(corr), np.array(weights), 10)
+
+
+def test_feature_table_checks_its_rows_once(monkeypatch):
+    calls = []
+
+    def out_of_range(values, names=None):
+        calls.append(values.shape)
+        return np.full((values.shape[1],) * 2, 1.5)
+
+    monkeypatch.setattr(portlab.rl.env, "correlation_values", out_of_range)
+    returns = random_returns(np.random.default_rng(5), 30, 3)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        FeatureTable(returns, _small_hp())
+    # every window was computed before the one range check over all rows
+    assert len(calls) == len(range(10, 31, 3))
+
+
+def test_env_step_rejects_non_finite_reward():
+    hp = _small_hp()
+    returns = random_returns(np.random.default_rng(4), 40, 3)
+    table = FeatureTable(returns, hp)
+    # finite returns whose squared deviations overflow over the held days
+    values = returns.values.copy()
+    values[hp.window : hp.window + hp.rebalance_period, 0] = [1e300, -1.0, 1e300]
+    table.returns = ReturnTable(returns.dates, returns.tickers, values)
+    state = env_reset(table, hp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="reward over"):
+            env_step(state, hold_action(3), table, hp)
+

@@ -1,10 +1,11 @@
-"""Q-network gradients, vectorized TD targets, file round-trips, tabular check."""
+"""Q-network gradients, flat parameters, vectorized TD targets, file round-trips, tabular check."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from oracles import read_training_log, tabular_q_check, td_target, two_state_chain
 from portlab.errors import ModelFormatError
 from portlab.rl import (
     EpisodeStats,
@@ -12,12 +13,9 @@ from portlab.rl import (
     ReplayBatch,
     load_qnetwork,
     qnet_init,
-    read_training_log,
+    qnet_train_step,
     save_qnetwork,
-    tabular_q_check,
-    td_target,
     td_targets,
-    two_state_chain,
     write_training_log,
 )
 from portlab.rl.network import _forward_batch, _loss_and_grads
@@ -90,6 +88,51 @@ def test_qnetwork_save_load_round_trip_is_exact(tmp_path):
     again = tmp_path / "again.txt"
     save_qnetwork(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def _save_order(net) -> np.ndarray:
+    return np.concatenate([a.ravel() for w, b in zip(net.weights, net.biases) for a in (w, b)])
+
+
+def test_layers_are_views_of_one_flat_parameter_vector(tmp_path):
+    net = _net()
+    assert net.params.shape == (net.parameter_count(),)
+    for p in net.weights + net.biases:
+        assert np.shares_memory(p, net.params)
+    # the flat layout is the save order: each weight matrix, then its bias
+    assert np.array_equal(net.params, _save_order(net))
+    net.biases[1][0] = 0.25
+    net.weights[0][1, 2] -= 1.0
+    assert np.array_equal(net.params, _save_order(net))
+
+    path = tmp_path / "model.txt"
+    save_qnetwork(net, path)
+    loaded = load_qnetwork(path)
+    assert np.array_equal(loaded.params, net.params)
+    assert not np.shares_memory(loaded.params, net.params)
+    for p in loaded.weights + loaded.biases:
+        assert np.shares_memory(p, loaded.params)
+
+
+def test_train_step_equals_per_layer_update_bit_for_bit():
+    rng = np.random.default_rng(6)
+    net = _net()
+    ref = _net()
+    batch = ReplayBatch(
+        states=rng.normal(size=(9, net.n_inputs)),
+        actions=rng.integers(0, net.n_outputs, size=9),
+        rewards=rng.normal(size=9),
+        next_states=rng.normal(size=(9, net.n_inputs)),
+        dones=np.zeros(9, dtype=bool),
+    )
+    for _ in range(3):
+        targets = td_targets(batch, net, 0.9)
+        loss = qnet_train_step(net, batch, targets, 0.01)
+        ref_loss, grad_w, grad_b = _loss_and_grads(ref, batch.states, batch.actions, targets)
+        for p, g in zip(ref.weights + ref.biases, grad_w + grad_b):
+            p -= 0.01 * g
+        assert loss == ref_loss
+        assert np.array_equal(net.params, ref.params)
 
 
 @pytest.mark.parametrize(
