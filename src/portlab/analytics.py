@@ -23,7 +23,6 @@ from .errors import AlignmentError, InsufficientDataError, NonFiniteError, Undef
 if TYPE_CHECKING:
     from .backtest import WeightSchedule
     from .market_data import PriceTable
-    from .mvp import Portfolio
 
 TRADING_DAYS = 252
 VARIANCE_FLOOR = 1e-12
@@ -57,6 +56,26 @@ class ReturnTable:
         return len(self.tickers)
 
 
+def freeze_square_matrix(matrix, label: str) -> np.ndarray:
+    """Store ``matrix``'s values as a read-only float copy and its tickers as a tuple.
+
+    The values must be n x n over the n tickers, finite and symmetric within
+    1e-12. Returns them for the caller's own diagonal and range checks.
+    """
+    values = np.array(matrix.values, dtype=float)
+    n = len(matrix.tickers)
+    if values.shape != (n, n):
+        raise ValueError(f"{label} matrix shape does not match tickers")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} entries must be finite")
+    if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
+        raise ValueError(f"{label} matrix must be symmetric within 1e-12")
+    values.setflags(write=False)
+    object.__setattr__(matrix, "tickers", tuple(matrix.tickers))
+    object.__setattr__(matrix, "values", values)
+    return values
+
+
 @dataclass(frozen=True)
 class CovMatrix:
     """Sample covariance of daily returns (daily variance units)."""
@@ -65,21 +84,11 @@ class CovMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError("covariance matrix shape does not match tickers")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("covariance entries must be finite")
-        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
-            raise ValueError("covariance matrix must be symmetric within 1e-12")
+        values = freeze_square_matrix(self, "covariance")
         if not np.all(np.diag(values) >= 0):
             raise ValueError("covariance diagonal must be non-negative")
         if not np.linalg.eigvalsh(values).min() >= -1e-9:
             raise ValueError("covariance matrix must be positive semidefinite")
-        values.setflags(write=False)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -90,21 +99,11 @@ class CorrMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError("correlation matrix shape does not match tickers")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("correlation entries must be finite")
-        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
-            raise ValueError("correlation matrix must be symmetric within 1e-12")
+        values = freeze_square_matrix(self, "correlation")
         if not np.all(np.diag(values) == 1.0):
             raise ValueError("correlation diagonal must be exactly 1")
         if not np.all((values >= -1.0) & (values <= 1.0)):
             raise ValueError("correlation entries must lie in [-1, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ def simple_returns(table: PriceTable) -> ReturnTable:
             f"return of {table.tickers[col]} on {table.dates[row + 1]} overflows: "
             f"close {float(closes[row, col])!r} -> {float(closes[row + 1, col])!r}"
         )
-    return ReturnTable(table.dates[1:], table.tickers, values)
-
-
-def log_returns(table: PriceTable) -> ReturnTable:
-    """Day-over-day log changes: ``ln(P[t+1] / P[t])``."""
-    closes = _cleaned_closes(table)
-    values = np.log(closes[1:] / closes[:-1])
     return ReturnTable(table.dates[1:], table.tickers, values)
 
 
@@ -235,36 +227,6 @@ def correlation(returns: ReturnTable) -> CorrMatrix:
     return CorrMatrix(returns.tickers, correlation_values(returns.values, returns.tickers))
 
 
-def portfolio_return(weights: Portfolio | np.ndarray, mean_returns: np.ndarray) -> float:
-    """Weighted mean return: sum of w_i * mu_i."""
-    w = _weight_vector(weights)
-    mu = np.asarray(mean_returns, dtype=float)
-    if w.shape != mu.shape:
-        raise ValueError(f"weights {w.shape} and returns {mu.shape} do not match")
-    return float(w @ mu)
-
-
-def portfolio_variance(weights: Portfolio | np.ndarray, cov: CovMatrix | np.ndarray) -> float:
-    """Portfolio variance as the explicit double sum.
-
-    N weighted variance terms plus N(N-1)/2 doubled covariance terms
-    (55 in total for N=10). The quadratic-form identity ``w' S w`` is kept
-    as an independent oracle in the tests, not used here.
-    """
-    w = _weight_vector(weights)
-    sigma = cov.values if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
-    n = w.shape[0]
-    if sigma.shape != (n, n):
-        raise ValueError(f"weights ({n}) and covariance {sigma.shape} do not match")
-    total = 0.0
-    for i in range(n):
-        total += w[i] * w[i] * sigma[i, i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += 2.0 * w[i] * w[j] * sigma[i, j]
-    return total
-
-
 def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float) -> float:
     """Excess return over the risk-free rate per unit of volatility."""
     if portfolio_vol <= 0:
@@ -307,7 +269,3 @@ def aligned_weights(schedule: WeightSchedule, dates: tuple[date, ...]) -> np.nda
             f"first missing {missing[0]}"
         )
     return schedule.weights[[by_date[d] for d in dates]]
-
-
-def _weight_vector(weights: Portfolio | np.ndarray) -> np.ndarray:
-    return np.asarray(getattr(weights, "weights", weights), dtype=float)

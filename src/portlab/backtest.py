@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import TRADING_DAYS, CumulativeCurve, ReturnTable, schedule_returns, sharpe_ratio
-from .errors import EmptyScheduleError, PortlabError
+from .errors import EmptyScheduleError, PortlabError, ReportFormatError
 from .jsonfile import write_json
 from .mvp import Portfolio
 
@@ -60,8 +60,11 @@ class BacktestReport:
     def __post_init__(self) -> None:
         if self.phase not in ("train", "test"):
             raise ValueError(f"phase must be train or test, got {self.phase!r}")
-        if self.annual_risk < 0:
-            raise ValueError("annual risk must be >= 0")
+        if not (isinstance(self.method, str) and isinstance(self.dataset, str)):
+            raise ValueError("method and dataset must be strings")
+        # written as not (x > 0) so that NaN fails
+        if not self.annual_risk > 0:
+            raise ValueError(f"annual risk must be > 0, got {self.annual_risk!r}")
         implied = (self.annual_return - self.risk_free) / self.annual_risk
         if not abs(self.sharpe - implied) <= 1e-9:
             raise ValueError("stored Sharpe inconsistent with return/risk/risk-free")
@@ -164,26 +167,33 @@ def write_report(report: BacktestReport, path: str | Path) -> None:
     write_json(path, payload)
 
 
-def report_from_json(text: str) -> BacktestReport:
-    payload = json.loads(text)
-    curve = CumulativeCurve(
-        tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
-        np.array([v for _, v in payload["curve"]], dtype=float),
-    )
-    return BacktestReport(
-        method=payload["method"],
-        phase=payload["phase"],
-        dataset=payload["dataset"],
-        annual_return=float(payload["annual_return"]),
-        annual_risk=float(payload["risk"]),
-        risk_free=float(payload["risk_free"]),
-        sharpe=float(payload["sharpe"]),
-        curve=curve,
-    )
-
-
 def read_report(path: str | Path) -> BacktestReport:
-    return report_from_json(Path(path).read_text(encoding="utf-8"))
+    """Inverse of :func:`write_report`.
+
+    Raises :class:`ReportFormatError` naming the file when it is not UTF-8
+    JSON, lacks a field, or holds a value :class:`BacktestReport` rejects.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        curve = CumulativeCurve(
+            tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
+            np.array([v for _, v in payload["curve"]], dtype=float),
+        )
+        return BacktestReport(
+            method=payload["method"],
+            phase=payload["phase"],
+            dataset=payload["dataset"],
+            annual_return=float(payload["annual_return"]),
+            annual_risk=float(payload["risk"]),
+            risk_free=float(payload["risk_free"]),
+            sharpe=float(payload["sharpe"]),
+            curve=curve,
+        )
+    except KeyError as exc:
+        raise ReportFormatError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+        raise ReportFormatError(f"{path}: {exc}") from None
 
 
 def write_comparison_csv(table: ComparisonTable, path: str | Path) -> None:

@@ -71,11 +71,7 @@ def cmd_hrp(config: RunConfig) -> None:
     """HRP weights plus the merge tree and weight-bar plot data."""
     data = _PreparedData(config)
     out = _ensure_out(config)
-    corr = analytics.correlation(data.train_returns)
-    dbar = hrp.codistance(hrp.corr_distance(corr))
-    tree = hrp.single_linkage(dbar)
-    order = hrp.quasi_diag_order(tree)
-    portfolio = hrp.recursive_bisection(analytics.covariance(data.train_returns), order)
+    tree, portfolio = hrp.hrp_weights(data.train_returns)
 
     write_json(out / "hrp_linkage.json", hrp.linkage_to_records(tree))
     lines = ["ticker,weight"]
@@ -250,10 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_and_override(args.config, args.out)
         _COMMANDS[args.command](config)
-    except PortlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PortlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -41,52 +41,36 @@ class RunConfig:
             raise ValueError("risk_free must be finite")
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_date(raw: str) -> date:
-    return date.fromisoformat(raw)
-
-
-def _parse_path(raw: str) -> Path:
-    return Path(raw)
-
-
 def _parse_dims(raw: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
 _TOP_LEVEL: dict[str, Callable[[str], Any]] = {
-    "data": _parse_path,
-    "train_end": _parse_date,
-    "test_start": _parse_date,
-    "trading_days": _parse_int,
-    "risk_free": _parse_float,
-    "mc_samples": _parse_int,
-    "frontier_bins": _parse_int,
-    "out_dir": _parse_path,
-    "seed": _parse_int,
+    "data": Path,
+    "train_end": date.fromisoformat,
+    "test_start": date.fromisoformat,
+    "trading_days": int,
+    "risk_free": float,
+    "mc_samples": int,
+    "frontier_bins": int,
+    "out_dir": Path,
+    "seed": int,
 }
 
 _RL: dict[str, Callable[[str], Any]] = {
-    "window": _parse_int,
-    "episodes": _parse_int,
-    "batch_size": _parse_int,
-    "rebalance_period": _parse_int,
-    "learning_rate": _parse_float,
-    "discount": _parse_float,
-    "eps_start": _parse_float,
-    "eps_min": _parse_float,
-    "eps_decay": _parse_float,
-    "step_delta": _parse_float,
+    "window": int,
+    "episodes": int,
+    "batch_size": int,
+    "rebalance_period": int,
+    "learning_rate": float,
+    "discount": float,
+    "eps_start": float,
+    "eps_min": float,
+    "eps_decay": float,
+    "step_delta": float,
     "hidden_dims": _parse_dims,
-    "replay_capacity": _parse_int,
-    "seed": _parse_int,
+    "replay_capacity": int,
+    "seed": int,
 }
 
 _REQUIRED = ("data", "train_end", "test_start")
@@ -97,7 +81,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
 
     top: dict[str, Any] = {}

@@ -38,10 +38,6 @@ class UndefinedSharpeError(PortlabError):
     """Sharpe ratio requested with zero (or negative) volatility."""
 
 
-class SingularMatrixError(PortlabError):
-    """Covariance matrix not invertible even after regularization."""
-
-
 class DivergenceError(PortlabError):
     """Training produced a non-finite loss."""
 
@@ -60,6 +56,10 @@ class ConfigError(PortlabError):
 
 class ModelFormatError(PortlabError):
     """A saved model file is malformed or does not fit the configured assets."""
+
+
+class ReportFormatError(PortlabError):
+    """A saved backtest report is not UTF-8 JSON with every field a report needs."""
 
 
 class NonFiniteError(PortlabError):

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import VARIANCE_FLOOR, CorrMatrix, CovMatrix, ReturnTable, correlation, covariance
+from .analytics import (
+    VARIANCE_FLOOR, CorrMatrix, CovMatrix, ReturnTable, correlation, covariance, freeze_square_matrix
+)
 from .mvp import Portfolio
 
 
@@ -33,21 +35,11 @@ class DistanceMatrix:
     kind: str
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        n = len(self.tickers)
-        if values.shape != (n, n):
-            raise ValueError("distance matrix shape does not match tickers")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("distances must be finite")
-        if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
-            raise ValueError("distance matrix must be symmetric within 1e-12")
+        values = freeze_square_matrix(self, "distance")
         if not np.all(np.diag(values) == 0.0):
             raise ValueError("distance matrix diagonal must be zero")
         if not np.all(values >= 0):
             raise ValueError("distances must be non-negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -244,13 +236,13 @@ def recursive_bisection(cov: CovMatrix, order: SeriationOrder) -> Portfolio:
     return Portfolio(cov.tickers, weights)
 
 
-def hrp_weights(returns: ReturnTable) -> Portfolio:
-    """Full pipeline from a return table to HRP weights."""
+def hrp_weights(returns: ReturnTable) -> tuple[LinkageTree, Portfolio]:
+    """Full pipeline from a return table to the merge tree and the HRP weights."""
     corr = correlation(returns)
     dbar = codistance(corr_distance(corr))
     tree = single_linkage(dbar)
     order = quasi_diag_order(tree)
-    return recursive_bisection(covariance(returns), order)
+    return tree, recursive_bisection(covariance(returns), order)
 
 
 def linkage_to_records(tree: LinkageTree) -> list[dict]:
@@ -259,12 +251,3 @@ def linkage_to_records(tree: LinkageTree) -> list[dict]:
         {"left": m.left, "right": m.right, "distance": m.distance, "size": m.size}
         for m in tree.merges
     ]
-
-
-def tree_from_records(records: list[dict], n_leaves: int) -> LinkageTree:
-    """Inverse of :func:`linkage_to_records`."""
-    merges = tuple(
-        MergeRecord(int(r["left"]), int(r["right"]), float(r["distance"]), int(r["size"]))
-        for r in records
-    )
-    return LinkageTree(n_leaves, merges)

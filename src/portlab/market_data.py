@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def load_prices(path: str | Path) -> PriceTable:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -152,6 +153,14 @@ def load_prices(path: str | Path) -> PriceTable:
     if len(rows) < 3:
         raise SchemaError(f"{path}: need at least 3 data rows, got {len(rows)}")
     return PriceTable(tuple(dates), tuple(tickers), np.array(rows, dtype=float))
+
+
+def _utf8_lines(path: Path, fh: TextIO) -> Iterator[str]:
+    """Lines of ``fh``; an invalid UTF-8 byte raises :class:`PriceParseError` naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise PriceParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_prices(table: PriceTable, path: str | Path) -> None:

@@ -2,9 +2,9 @@
 
 The random cloud stands in for the textbook quadratic program: the
 minimum-risk portfolio is the cloud's lowest-volatility point and the
-optimum-risk portfolio its highest-Sharpe point. A closed-form solution
-of the sum-to-one minimum-variance problem is kept alongside as an
-oracle for the sampler.
+optimum-risk portfolio its highest-Sharpe point. The closed-form
+sum-to-one minimum-variance solution that the sampler is tested against
+lives in ``tests/oracles.py``.
 
 The cloud is held as arrays, one row per sampled portfolio: volatilities,
 returns and Sharpe ratios of shape ``(count,)`` and weights of shape
@@ -15,14 +15,13 @@ frontier's bins).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import TRADING_DAYS, CovMatrix
-from .errors import SingularMatrixError, UndefinedSharpeError
+from .errors import UndefinedSharpeError
 from .floatcsv import write_float_csv
 
 _CHUNK = 1000  # sampling chunk; fixed so clouds are prefix-stable across counts
@@ -111,29 +110,6 @@ class FrontierCloud:
             sharpe=float(self.sharpes[i]),
             weights=self.weights[i],
         )
-
-
-@dataclass(frozen=True)
-class MinVariancePortfolio:
-    """Closed-form minimum-variance solution (sum-to-one constraint only).
-
-    Unlike :class:`Portfolio` this may carry negative weights; ``long_only``
-    flags whether it happens to satisfy the long-only constraint.
-    """
-
-    tickers: tuple[str, ...]
-    weights: np.ndarray
-    long_only: bool
-
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
 
 
 def equal_weight(n: int, tickers: tuple[str, ...] | None = None) -> Portfolio:
@@ -229,49 +205,6 @@ def efficient_frontier(cloud: FrontierCloud, bins: int) -> list[FrontierPoint]:
     return [cloud.point(i) for i in chosen]
 
 
-def closed_form_min_variance(cov: CovMatrix | np.ndarray) -> MinVariancePortfolio:
-    """Analytic minimum-variance weights: ``S^-1 1 / (1' S^-1 1)``.
-
-    Solves the variance minimization with only the sum-to-one constraint,
-    so weights can go negative; used as the oracle for the sampled cloud.
-    Adds ``1e-10 I`` once if the matrix is (near-)singular.
-    """
-    if isinstance(cov, CovMatrix):
-        tickers = cov.tickers
-        sigma = cov.values
-    else:
-        sigma = np.asarray(cov, dtype=float)
-        tickers = tuple(f"asset_{i}" for i in range(sigma.shape[0]))
-    n = sigma.shape[0]
-    if n == 0:
-        raise ValueError("covariance matrix must be non-empty")
-    ones = np.ones(n)
-
-    x = _solve_or_none(sigma, ones)
-    if x is None:
-        x = _solve_or_none(sigma + 1e-10 * np.eye(n), ones)
-    if x is None:
-        raise SingularMatrixError("covariance matrix singular even after regularization")
-    denom = float(x.sum())
-    if denom == 0.0 or not np.isfinite(denom):
-        raise SingularMatrixError("degenerate minimum-variance solution")
-    weights = x / denom
-    return MinVariancePortfolio(tickers, weights, long_only=bool(np.all(weights >= 0)))
-
-
-def _solve_or_none(sigma: np.ndarray, ones: np.ndarray) -> np.ndarray | None:
-    try:
-        x = np.linalg.solve(sigma, ones)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(x)):
-        return None
-    residual = float(np.max(np.abs(sigma @ x - ones)))
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(ones)))):
-        return None
-    return x
-
-
 def write_frontier_csv(cloud: FrontierCloud, path: str | Path) -> None:
     """Dump the cloud as ``volatility,return,sharpe,w1..wN`` (one row per point)."""
     _write_frontier_table(
@@ -298,12 +231,3 @@ def _write_frontier_table(
     n_assets = weights.shape[1]
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
     write_float_csv(path, header, np.column_stack((vols, rets, sharpes, weights)))
-
-
-def read_frontier_csv(path: str | Path) -> np.ndarray:
-    """Read a frontier CSV back into a (count, 3 + N) float array."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(cell) for cell in row] for row in reader if row]
-    return np.array(rows, dtype=float)

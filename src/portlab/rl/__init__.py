@@ -14,13 +14,11 @@ from .env import (
     FeatureTable,
     annualized_sharpe,
     apply_action,
-    buy_action,
     env_reset,
     env_step,
     feature_dim,
     hold_action,
     num_actions,
-    sell_action,
     state_features,
 )
 from .network import (
@@ -44,7 +42,6 @@ __all__ = [
     "ReplayBuffer",
     "annualized_sharpe",
     "apply_action",
-    "buy_action",
     "env_reset",
     "env_step",
     "epsilon_greedy",
@@ -57,7 +54,6 @@ __all__ = [
     "qnet_init",
     "qnet_train_step",
     "save_qnetwork",
-    "sell_action",
     "state_features",
     "td_targets",
     "train",

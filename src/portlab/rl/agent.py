@@ -14,7 +14,6 @@ halves to the network as views, inside a :class:`ReplayBatch`.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 
 from ..analytics import ReturnTable
 from ..backtest import WeightSchedule
+from ..floatcsv import write_float_csv
 from .env import FeatureTable, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
 from .params import Hyperparams
@@ -196,10 +196,9 @@ def evaluate(net: QNetwork, returns_test: ReturnTable, hp: Hyperparams) -> Weigh
 
 def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:
     """CSV log: ``episode,cum_reward,mean_loss,epsilon``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["episode", "cum_reward", "mean_loss", "epsilon"])
-        for row in log:
-            writer.writerow(
-                [row.episode, repr(row.cum_reward), repr(row.mean_loss), repr(row.epsilon)]
-            )
+    write_float_csv(
+        path,
+        ["episode", "cum_reward", "mean_loss", "epsilon"],
+        np.array([[row.cum_reward, row.mean_loss, row.epsilon] for row in log]).reshape(-1, 3),
+        labels=[str(row.episode) for row in log],
+    )

@@ -38,14 +38,6 @@ def num_actions(n_assets: int) -> int:
     return 2 * n_assets + 1
 
 
-def buy_action(asset: int) -> int:
-    return 2 * asset
-
-
-def sell_action(asset: int) -> int:
-    return 2 * asset + 1
-
-
 def hold_action(n_assets: int) -> int:
     return 2 * n_assets
 

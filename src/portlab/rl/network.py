@@ -226,7 +226,10 @@ def load_qnetwork(path: str | Path) -> QNetwork:
     Raises :class:`ModelFormatError` when the file is not a complete,
     well-formed saved network.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     if not text or not text[0].startswith("qnetwork "):
         raise ModelFormatError(f"{path}: not a saved q-network")
     try:

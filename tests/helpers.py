@@ -1,12 +1,15 @@
-"""Shared builders for test inputs."""
+"""Shared builders for test inputs, and readers for output files."""
 
 from __future__ import annotations
 
+import csv
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 
 from portlab.analytics import ReturnTable
+from portlab.hrp import LinkageTree, MergeRecord
 from portlab.market_data import PriceTable
 
 
@@ -46,3 +49,21 @@ def random_cov(rng: np.random.Generator, n: int, n_rows: int = 40) -> np.ndarray
     """Sample covariance of random data: PSD by construction."""
     data = rng.normal(0, 0.01, size=(n_rows, n)) * rng.uniform(0.5, 2.0, size=n)
     return np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
+
+
+def read_frontier_csv(path: str | Path) -> np.ndarray:
+    """Read a frontier CSV back into a (count, 3 + N) float array."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [[float(cell) for cell in row] for row in reader if row]
+    return np.array(rows, dtype=float)
+
+
+def tree_from_records(records: list[dict], n_leaves: int) -> LinkageTree:
+    """Inverse of :func:`portlab.hrp.linkage_to_records`."""
+    merges = tuple(
+        MergeRecord(int(r["left"]), int(r["right"]), float(r["distance"]), int(r["size"]))
+        for r in records
+    )
+    return LinkageTree(n_leaves, merges)

@@ -1,5 +1,8 @@
-"""Reference forms of DQN pieces that only the tests use.
+"""Reference implementations that only the tests use.
 
+* :func:`closed_form_min_variance`, the analytic sum-to-one
+  minimum-variance weights ``S^-1 1 / (1' S^-1 1)`` that the Monte-Carlo
+  minimum-risk portfolio of :mod:`portlab.mvp` is checked against;
 * :func:`td_target`, the scalar Bellman backup that
   :func:`portlab.rl.network.td_targets` vectorizes;
 * a tabular Q-learning check: the same backup applied to a lookup table
@@ -16,7 +19,78 @@ from pathlib import Path
 
 import numpy as np
 
+from portlab.analytics import CovMatrix
 from portlab.rl import EpisodeStats
+
+
+class SingularMatrixError(Exception):
+    """Covariance matrix not invertible even after regularization."""
+
+
+@dataclass(frozen=True)
+class MinVariancePortfolio:
+    """Closed-form minimum-variance solution (sum-to-one constraint only).
+
+    Unlike :class:`portlab.mvp.Portfolio` this may carry negative weights;
+    ``long_only`` flags whether it happens to satisfy the long-only constraint.
+    """
+
+    tickers: tuple[str, ...]
+    weights: np.ndarray
+    long_only: bool
+
+    def __post_init__(self) -> None:
+        weights = np.array(self.weights, dtype=float)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if abs(float(weights.sum()) - 1.0) > 1e-9:
+            raise ValueError("weights must sum to 1")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "tickers", tuple(self.tickers))
+
+
+def closed_form_min_variance(cov: CovMatrix | np.ndarray) -> MinVariancePortfolio:
+    """Analytic minimum-variance weights: ``S^-1 1 / (1' S^-1 1)``.
+
+    Solves the variance minimization with only the sum-to-one constraint,
+    so weights can go negative. Adds ``1e-10 I`` once if the matrix is
+    (near-)singular.
+    """
+    if isinstance(cov, CovMatrix):
+        tickers = cov.tickers
+        sigma = cov.values
+    else:
+        sigma = np.asarray(cov, dtype=float)
+        tickers = tuple(f"asset_{i}" for i in range(sigma.shape[0]))
+    n = sigma.shape[0]
+    if n == 0:
+        raise ValueError("covariance matrix must be non-empty")
+    ones = np.ones(n)
+
+    x = _solve_or_none(sigma, ones)
+    if x is None:
+        x = _solve_or_none(sigma + 1e-10 * np.eye(n), ones)
+    if x is None:
+        raise SingularMatrixError("covariance matrix singular even after regularization")
+    denom = float(x.sum())
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SingularMatrixError("degenerate minimum-variance solution")
+    weights = x / denom
+    return MinVariancePortfolio(tickers, weights, long_only=bool(np.all(weights >= 0)))
+
+
+def _solve_or_none(sigma: np.ndarray, ones: np.ndarray) -> np.ndarray | None:
+    try:
+        x = np.linalg.solve(sigma, ones)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(x)):
+        return None
+    residual = float(np.max(np.abs(sigma @ x - ones)))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(ones)))):
+        return None
+    return x
 
 
 def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> float:

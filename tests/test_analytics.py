@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_returns, make_table, random_cov, weekdays
+from helpers import make_returns, make_table, weekdays
 from portlab import analytics
 from portlab.backtest import WeightSchedule, static_schedule
 from portlab.errors import (
@@ -30,13 +30,6 @@ class TestReturns:
     def test_constant_prices_zero_returns(self):
         rets = analytics.simple_returns(make_table([[100, 7], [100, 7], [100, 7]]))
         assert np.all(rets.values == 0.0)
-
-    def test_log_returns(self):
-        prices = [[100, 100], [100 * math.e, 110], [100 * math.e, 121]]
-        rets = analytics.log_returns(make_table(prices))
-        assert rets.values[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert rets.values[1, 0] == pytest.approx(0.0, abs=1e-12)
-        assert rets.values[0, 1] == pytest.approx(0.0953102, abs=1e-7)
 
     def test_missing_cells_rejected(self):
         table = make_table([[100, 1], [math.nan, 2], [102, 3]])
@@ -142,37 +135,6 @@ class TestCovarianceCorrelation:
         cov_std = analytics.covariance_values(standardized)
         corr = analytics.correlation_values(values)
         assert np.max(np.abs(cov_std - corr)) < 1e-10
-
-
-class TestPortfolioStats:
-    def test_portfolio_return_cases(self):
-        assert analytics.portfolio_return(np.array([0.5, 0.5]), np.array([0.1, 0.2])) == pytest.approx(0.15)
-        assert analytics.portfolio_return(np.array([1.0, 0.0]), np.array([0.3, 0.9])) == 0.3
-        w = equal_weight(10)
-        assert analytics.portfolio_return(w, np.full(10, 0.07)) == pytest.approx(0.07, abs=1e-12)
-
-    def test_portfolio_variance_cases(self):
-        w = np.array([0.5, 0.5])
-        assert analytics.portfolio_variance(w, np.diag([0.04, 0.04])) == pytest.approx(0.02, abs=1e-15)
-        full = np.full((2, 2), 0.04)
-        assert analytics.portfolio_variance(w, full) == pytest.approx(0.04, abs=1e-15)
-
-    @given(st.integers(0, 2**31 - 1))
-    def test_double_sum_matches_quadratic_form(self, seed):
-        rng = np.random.default_rng(seed)
-        sigma = random_cov(rng, 10)
-        draws = rng.uniform(size=10)
-        w = draws / draws.sum()
-        oracle = float(w @ sigma @ w)
-        assert abs(analytics.portfolio_variance(w, sigma) - oracle) < 1e-12
-
-    @given(st.integers(0, 2**31 - 1))
-    def test_variance_nonnegative_on_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        sigma = random_cov(rng, 6)
-        draws = rng.uniform(size=6)
-        w = draws / draws.sum()
-        assert analytics.portfolio_variance(w, sigma) >= -1e-18
 
 
 class TestSharpe:

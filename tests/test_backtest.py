@@ -35,6 +35,12 @@ def test_nan_breaks_sharpe_consistency(field):
         _report(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("risk", [0.0, -0.2, float("nan")])
+def test_risk_must_be_positive(risk):
+    with pytest.raises(ValueError, match="annual risk must be > 0"):
+        _report(annual_risk=risk)
+
+
 @pytest.mark.parametrize(
     "row", [[0.5, 0.6], [np.nan, 1.0], [1.5, -0.5]], ids=["off-simplex", "nan", "negative"]
 )

@@ -1,19 +1,24 @@
 """CLI behaviour end to end.
 
-Bad input (a malformed saved model, an out-of-range config value, prices
-whose returns or statistics overflow) gives exit 1 and one ``error:`` line; a full
-pipeline run writes the same bytes every time; the bundled fixture
-regenerates byte for byte.
+Bad input (a malformed saved model or report, an out-of-range config
+value, a file that is not UTF-8, prices whose returns or statistics
+overflow) gives exit 1 and one ``error:`` line; a full pipeline run writes
+the same bytes every time; the bundled fixture regenerates byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import shutil
 from datetime import date
 
 import numpy as np
 import pytest
 
-from portlab import cli, synthetic
+from helpers import weekdays
+from portlab import backtest, cli, synthetic
+from portlab.analytics import CumulativeCurve
 from portlab.market_data import PriceTable, write_prices
 from portlab.rl import Hyperparams, qnet_init, save_qnetwork
 
@@ -76,6 +81,80 @@ def test_rl_eval_accepts_well_formed_model(run_dir, capsys):
     code, err = _rl_eval(config, out, capsys)
     assert (code, err) == (0, [])
     assert (out / "report_RL_test.json").exists()
+
+
+def _saved_report(out):
+    path = out / "report_MVP_test.json"
+    curve = CumulativeCurve(weekdays(2), np.array([0.0, 0.01]))
+    report = backtest.BacktestReport("MVP", "test", "d", 0.11, 0.2, 0.01, 0.5, curve)
+    backtest.write_report(report, path)
+    return path
+
+
+def _edit_report(**fields):
+    """Rewrite a saved report's JSON with ``fields`` set; a None value drops the field."""
+
+    def edit(text: str) -> str:
+        payload = json.loads(text)
+        for name, value in fields.items():
+            if value is None:
+                del payload[name]
+            else:
+                payload[name] = value
+        return json.dumps(payload)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("mangle", "message"),
+    [
+        (lambda text: text[: len(text) // 2], "report_MVP_test.json: "),
+        (_edit_report(risk=None), "missing field 'risk'"),
+        (_edit_report(risk=0.0), "annual risk must be > 0"),
+        (_edit_report(risk=math.nan), "annual risk must be > 0, got nan"),
+        (_edit_report(dataset=["d"]), "method and dataset must be strings"),
+    ],
+    ids=["truncated", "missing-key", "zero-risk", "nan-risk", "list-dataset"],
+)
+def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
+    config, out = run_dir
+    path = _saved_report(out)
+    path.write_text(mangle(path.read_text(encoding="utf-8")), encoding="utf-8")
+    code = cli.main(["compare", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "report_MVP_test.json" in err[0]
+    assert message in err[0]
+
+
+@pytest.mark.parametrize(
+    ("command", "name"),
+    [
+        ("mvp", "run.cfg"),
+        ("mvp", "prices.csv"),
+        ("rl-eval", "rl_model.txt"),
+        ("compare", "report_MVP_test.json"),
+    ],
+)
+def test_non_utf8_input_gives_one_line_error(tmp_path, fixture_csv, capsys, command, name):
+    prices = tmp_path / "prices.csv"
+    shutil.copyfile(fixture_csv, prices)
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices, "rl.hidden_dims = 8\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    _saved_model_lines(FIXTURE_ASSETS, out)
+    _saved_report(out)
+    target = out / name if (out / name).exists() else tmp_path / name
+    data = target.read_bytes()
+    target.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert str(target) in err[0]
 
 
 def _write_config(path, fixture_csv, extra: str = "") -> None:

@@ -2,8 +2,9 @@
 
 The reference writers below are the per-row writers that the table
 writer replaced: ``csv.writer`` over ``repr(float(w))`` cells for the
-cloud, and string joins of the same cells for the frontier curve and the
-RL schedule. Every output file must match them byte for byte.
+cloud and the DQN training log, and string joins of the same cells for
+the frontier curve and the RL schedule. Every output file must match
+them byte for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from helpers import weekdays
 from portlab import cli, floatcsv, mvp
 from portlab.backtest import WeightSchedule
+from portlab.rl import EpisodeStats, write_training_log
 
 # cells whose shortest repr is in exponent form, or not what the literal suggests
 AWKWARD = [1e-05, 1e16, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1.0, 123456789.125]
@@ -50,6 +52,16 @@ def reference_schedule_csv(schedule: WeightSchedule, tickers, path) -> None:
     for d, row in zip(schedule.dates, schedule.weights):
         lines.append(d.isoformat() + "," + ",".join(repr(float(w)) for w in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_training_log(log, path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["episode", "cum_reward", "mean_loss", "epsilon"])
+        for row in log:
+            writer.writerow(
+                [row.episode, repr(row.cum_reward), repr(row.mean_loss), repr(row.epsilon)]
+            )
 
 
 def awkward_cloud() -> mvp.FrontierCloud:
@@ -110,6 +122,19 @@ def test_schedule_csv_matches_reference(tmp_path, n_rows):
     tickers = ("A", "B", "C", "D")
     cli._write_schedule_csv(schedule, tickers, tmp_path / "new.csv")
     reference_schedule_csv(schedule, tickers, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_episodes", [0, 1, 1100])
+def test_training_log_matches_reference(tmp_path, n_episodes):
+    rng = np.random.default_rng(n_episodes)
+    rewards = rng.normal(0, 50, n_episodes).tolist()
+    losses = rng.uniform(0, 60, n_episodes).tolist()
+    log = [EpisodeStats(i, rewards[i], losses[i], 0.95**i) for i in range(n_episodes)]
+    if log:
+        log[0] = EpisodeStats(0, AWKWARD[0], AWKWARD[1], AWKWARD[3])
+    write_training_log(log, tmp_path / "new.csv")
+    reference_training_log(log, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_returns, random_returns
+from helpers import make_returns, random_returns, tree_from_records
 from portlab import hrp
 from portlab.analytics import CorrMatrix, CovMatrix, correlation, covariance
 from portlab.hrp import DistanceMatrix, LinkageTree, MergeRecord, SeriationOrder
@@ -239,7 +239,7 @@ class TestLinkageTree:
     def test_records_round_trip(self):
         d = dist([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         tree = hrp.single_linkage(d)
-        back = hrp.tree_from_records(hrp.linkage_to_records(tree), tree.n_leaves)
+        back = tree_from_records(hrp.linkage_to_records(tree), tree.n_leaves)
         assert back == tree
 
 
@@ -318,7 +318,7 @@ class TestHrpWeights:
     def test_two_assets_exact_inverse_variance(self, rng):
         values = rng.normal(0, 0.01, size=(60, 2)) * np.array([1.0, 2.5])
         rets = make_returns(values)
-        port = hrp.hrp_weights(rets)
+        port = hrp.hrp_weights(rets)[1]
         var = np.var(values, axis=0, ddof=1)
         ivp = (1 / var) / (1 / var).sum()
         assert port.weights == pytest.approx(ivp, abs=1e-12)
@@ -326,14 +326,14 @@ class TestHrpWeights:
     def test_iid_near_equal_weights(self):
         rng = np.random.default_rng(31)
         rets = make_returns(rng.normal(0.0, 0.01, size=(2000, 5)))
-        port = hrp.hrp_weights(rets)
+        port = hrp.hrp_weights(rets)[1]
         assert np.max(np.abs(port.weights - 0.2)) < 0.05
 
     def test_independent_assets_near_ivp(self):
         rng = np.random.default_rng(55)
         scales = np.array([0.5, 0.8, 1.0, 1.3, 1.7, 2.2])
         values = rng.normal(0.0, 0.01, size=(3000, 6)) * scales
-        port = hrp.hrp_weights(make_returns(values))
+        port = hrp.hrp_weights(make_returns(values))[1]
         var = np.var(values, axis=0, ddof=1)
         ivp = (1 / var) / (1 / var).sum()
         assert np.max(np.abs(port.weights - ivp)) < 0.02
@@ -344,7 +344,7 @@ class TestHrpWeights:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 11))
         t = int(rng.integers(20, 60))
-        port = hrp.hrp_weights(random_returns(rng, t, n))
+        port = hrp.hrp_weights(random_returns(rng, t, n))[1]
         assert np.all(port.weights > 0)
         assert abs(port.weights.sum() - 1.0) < 1e-9
 
@@ -354,12 +354,12 @@ class TestHrpWeights:
             n = int(rng.integers(3, 8))
             values = rng.normal(0, 0.01, size=(40, n)) * rng.uniform(0.5, 2.0, size=n)
             rets = make_returns(values)
-            base = dict(zip(rets.tickers, hrp.hrp_weights(rets).weights))
+            base = dict(zip(rets.tickers, hrp.hrp_weights(rets)[1].weights))
             perm = rng.permutation(n)
             permuted = make_returns(
                 values[:, perm], tickers=tuple(rets.tickers[p] for p in perm)
             )
-            shuffled = dict(zip(permuted.tickers, hrp.hrp_weights(permuted).weights))
+            shuffled = dict(zip(permuted.tickers, hrp.hrp_weights(permuted)[1].weights))
             assert max(abs(base[t] - shuffled[t]) for t in base) < 1e-9
 
     def test_quasi_diagonalization_concentrates_mass(self):

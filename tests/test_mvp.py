@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_cov
+from helpers import random_cov, read_frontier_csv
+from oracles import SingularMatrixError, closed_form_min_variance
 from portlab import mvp
-from portlab.errors import SingularMatrixError
 
 
 def synthetic_ten_asset_case():
@@ -90,6 +90,17 @@ class TestSamplePortfolios:
         cloud = mvp.sample_portfolios(mu, sigma, 64, 0.01, seed=seed)
         assert np.all(cloud.weights >= 0)
         assert np.max(np.abs(cloud.weights.sum(axis=1) - 1.0)) < 1e-9
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_volatility_is_the_quadratic_form(self, seed):
+        # each row's einsum variance against the explicit w' S w of that row
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 11))
+        sigma = random_cov(rng, n)
+        cloud = mvp.sample_portfolios(rng.uniform(0.0, 0.3, size=n), sigma, 64, 0.01, seed=seed)
+        for weights, vol in zip(cloud.weights, cloud.volatilities):
+            assert vol == pytest.approx(annual_vol(weights, sigma), rel=1e-12, abs=0)
 
     def test_count_must_be_positive(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -205,7 +216,7 @@ class TestMinRiskAndMaxSharpe:
 
     def test_mc_min_vol_vs_closed_form(self):
         mu, sigma = synthetic_ten_asset_case()
-        oracle = mvp.closed_form_min_variance(sigma)
+        oracle = closed_form_min_variance(sigma)
         assert oracle.long_only
         vol_star = annual_vol(oracle.weights, sigma)
         cloud = mvp.sample_portfolios(mu, sigma, 10_000, 0.01, seed=7)
@@ -263,12 +274,12 @@ class TestPortfolioInvariants:
 
 class TestClosedFormMinVariance:
     def test_diagonal_inverse_variance(self):
-        result = mvp.closed_form_min_variance(np.diag([0.04, 0.01]))
+        result = closed_form_min_variance(np.diag([0.04, 0.01]))
         assert result.weights == pytest.approx([0.2, 0.8], abs=1e-12)
         assert result.long_only
 
     def test_isotropic_gives_equal_weights(self):
-        result = mvp.closed_form_min_variance(0.02 * np.eye(5))
+        result = closed_form_min_variance(0.02 * np.eye(5))
         assert result.weights == pytest.approx([0.2] * 5, abs=1e-12)
 
     def test_three_asset_against_hand_solve(self):
@@ -297,13 +308,13 @@ class TestClosedFormMinVariance:
             x.append(det3(m) / d)
         expect = np.array(x) / sum(x)
 
-        result = mvp.closed_form_min_variance(sigma)
+        result = closed_form_min_variance(sigma)
         assert result.weights == pytest.approx(expect, abs=1e-10)
 
     def test_negative_weights_flagged(self):
         # strong positive correlation pushes the unconstrained solution short
         sigma = np.array([[1.0, 0.95], [0.95, 1.5]]) * 1e-4
-        result = mvp.closed_form_min_variance(sigma)
+        result = closed_form_min_variance(sigma)
         assert abs(result.weights.sum() - 1.0) < 1e-9
         if np.any(result.weights < 0):
             assert not result.long_only
@@ -312,17 +323,17 @@ class TestClosedFormMinVariance:
         # rank-1 matrix: solvable only after the +1e-10 I nudge
         v = np.array([1.0, 2.0])
         sigma = np.outer(v, v) * 1e-4
-        result = mvp.closed_form_min_variance(sigma)
+        result = closed_form_min_variance(sigma)
         assert abs(result.weights.sum() - 1.0) < 1e-9
 
     def test_zero_matrix_regularizes_to_equal_weights(self):
-        result = mvp.closed_form_min_variance(np.zeros((2, 2)))
+        result = closed_form_min_variance(np.zeros((2, 2)))
         assert result.weights == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_unsolvable_matrix_errors(self):
         sigma = np.full((2, 2), np.nan)
         with pytest.raises(SingularMatrixError):
-            mvp.closed_form_min_variance(sigma)
+            closed_form_min_variance(sigma)
 
 
 class TestFrontierCsv:
@@ -331,7 +342,7 @@ class TestFrontierCsv:
         cloud = mvp.sample_portfolios(mu, sigma, 250, 0.01, seed=21)
         path = tmp_path / "frontier.csv"
         mvp.write_frontier_csv(cloud, path)
-        data = mvp.read_frontier_csv(path)
+        data = read_frontier_csv(path)
         assert data.shape == (250, 3 + 10)
         assert np.array_equal(data[:, 0], cloud.volatilities)
         assert np.array_equal(data[:, 3:], cloud.weights)
