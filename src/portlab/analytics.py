@@ -87,7 +87,9 @@ class CovMatrix:
         values = freeze_square_matrix(self, "covariance")
         if not np.all(np.diag(values) >= 0):
             raise ValueError("covariance diagonal must be non-negative")
-        if not np.linalg.eigvalsh(values).min() >= -1e-9:
+        # rounding leaves eigenvalues of a singular matrix about eps * scale below 0
+        scale = max(1.0, float(np.max(np.diag(values), initial=0.0)))
+        if not np.linalg.eigvalsh(values).min() >= -1e-9 * scale:
             raise ValueError("covariance matrix must be positive semidefinite")
 
 
@@ -128,6 +130,8 @@ class CumulativeCurve:
         values = np.array(self.values, dtype=float)
         if values.shape != (len(self.dates),):
             raise ValueError("curve values must align with curve dates")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("curve values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "values", values)
@@ -228,12 +232,22 @@ def correlation(returns: ReturnTable) -> CorrMatrix:
 
 
 def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float) -> float:
-    """Excess return over the risk-free rate per unit of volatility."""
+    """Excess return over the risk-free rate per unit of volatility.
+
+    Raises :class:`NonFiniteError` if the ratio overflows float64.
+    """
     if portfolio_vol <= 0:
         raise UndefinedSharpeError(
             f"Sharpe ratio undefined for volatility {portfolio_vol}"
         )
-    return (portfolio_return - risk_free) / portfolio_vol
+    with np.errstate(over="ignore"):
+        sharpe = (portfolio_return - risk_free) / portfolio_vol
+    if not math.isfinite(sharpe):
+        raise NonFiniteError(
+            f"Sharpe ratio ({portfolio_return!r} - risk_free {risk_free!r}) / "
+            f"{portfolio_vol!r} overflows float64"
+        )
+    return sharpe
 
 
 def schedule_returns(
@@ -241,31 +255,21 @@ def schedule_returns(
 ) -> tuple[np.ndarray, CumulativeCurve]:
     """Daily returns of a (possibly dynamic) weight schedule and their curve.
 
-    The one place portfolio daily returns are computed: schedule rows
-    aligned to the return dates, weighted and summed per day, then
-    compounded as ``prod(1 + r) - 1``. Raises :class:`NonFiniteError` if
-    the compounded curve leaves the float64 range.
+    The one place portfolio daily returns are computed: the schedule must
+    be dated exactly as the return rows (else :class:`AlignmentError`);
+    its rows are weighted and summed per day, then compounded as
+    ``prod(1 + r) - 1``. Raises :class:`NonFiniteError` if the compounded
+    curve leaves the float64 range.
     """
-    weights = aligned_weights(schedule, returns.dates)
+    if schedule.dates != returns.dates:
+        raise AlignmentError(
+            f"the {len(schedule.dates)} schedule dates are not the {returns.n_rows} return dates"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
-        daily = (returns.values * weights).sum(axis=1)
+        daily = (returns.values * schedule.weights).sum(axis=1)
         values = np.cumprod(1.0 + daily) - 1.0
     bad = ~np.isfinite(values)
     if bad.any():
         first = returns.dates[int(np.argmax(bad))]
         raise NonFiniteError(f"portfolio cumulative return overflows on {first}")
     return daily, CumulativeCurve(returns.dates, values)
-
-
-def aligned_weights(schedule: WeightSchedule, dates: tuple[date, ...]) -> np.ndarray:
-    """Rows of the schedule matching ``dates``; the schedule must cover them all."""
-    if schedule.dates == tuple(dates):
-        return schedule.weights
-    by_date = {d: i for i, d in enumerate(schedule.dates)}
-    missing = [d for d in dates if d not in by_date]
-    if missing:
-        raise AlignmentError(
-            f"schedule does not cover {len(missing)} return date(s), "
-            f"first missing {missing[0]}"
-        )
-    return schedule.weights[[by_date[d] for d in dates]]

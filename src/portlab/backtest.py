@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import TRADING_DAYS, CumulativeCurve, ReturnTable, schedule_returns, sharpe_ratio
-from .errors import EmptyScheduleError, PortlabError, ReportFormatError
+from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
 from .mvp import Portfolio
 
@@ -81,11 +81,7 @@ class ComparisonTable:
 
 def static_schedule(portfolio: Portfolio, dates: tuple[date, ...]) -> WeightSchedule:
     """Repeat fixed weights over every date."""
-    dates = tuple(dates)
-    if not dates:
-        raise EmptyScheduleError("cannot build a schedule over zero dates")
-    weights = np.tile(portfolio.weights, (len(dates), 1))
-    return WeightSchedule(dates, weights)
+    return WeightSchedule(dates, np.tile(portfolio.weights, (len(dates), 1)))
 
 
 def run_backtest(
@@ -102,11 +98,16 @@ def run_backtest(
     Daily portfolio returns and the compounded curve come from
     :func:`portlab.analytics.schedule_returns`; risk is their sample std
     annualized by sqrt(trading_days), return their mean annualized by
-    trading_days.
+    trading_days. Raises :class:`NonFiniteError` if either overflows float64.
     """
     daily, curve = schedule_returns(returns, schedule)
-    annual_return = float(daily.mean()) * trading_days
-    annual_risk = float(daily.std(ddof=1)) * math.sqrt(trading_days)
+    with np.errstate(over="ignore", invalid="ignore"):
+        annual_return = float(daily.mean()) * trading_days
+        annual_risk = float(daily.std(ddof=1)) * math.sqrt(trading_days)
+    if not (math.isfinite(annual_return) and math.isfinite(annual_risk)):
+        raise NonFiniteError(
+            f"annual return or risk of {method} over the {phase} dates overflows float64"
+        )
     sharpe = sharpe_ratio(annual_return, risk_free, annual_risk)
     return BacktestReport(
         method=method,

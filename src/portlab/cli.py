@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_out_dir, with_seed
@@ -48,23 +49,21 @@ def cmd_mvp(config: RunConfig) -> None:
         config.trading_days,
     )
     mvp.write_frontier_csv(cloud, out / "frontier.csv")
-    curve_points = mvp.efficient_frontier(cloud, config.frontier_bins)
-    mvp.write_frontier_points(curve_points, len(data.tickers), out / "frontier_curve.csv")
+    curve_rows = mvp.efficient_frontier(cloud, config.frontier_bins)
+    mvp.write_frontier_rows(cloud, curve_rows, out / "frontier_curve.csv")
 
-    min_risk = mvp.min_risk_portfolio(cloud)
-    max_sharpe = mvp.max_sharpe_portfolio(cloud)
-    mvp_portfolio = mvp.Portfolio(data.tickers, min_risk.weights)
+    mvp_portfolio = mvp.Portfolio(data.tickers, cloud.weights[mvp.min_risk_row(cloud)])
     write_portfolio_json(mvp_portfolio, "MVP", out / "mvp_weights.json")
     write_portfolio_json(
-        mvp.Portfolio(data.tickers, max_sharpe.weights),
+        mvp.Portfolio(data.tickers, cloud.weights[mvp.max_sharpe_row(cloud)]),
         "MVP_MAX_SHARPE",
         out / "mvp_max_sharpe_weights.json",
     )
     ew = mvp.equal_weight(len(data.tickers), data.tickers)
     write_portfolio_json(ew, "EQUAL", out / "equal_weights.json")
 
-    _report_static(mvp_portfolio, "MVP", data, config, out)
-    _report_static(ew, "EQUAL", data, config, out)
+    _write_reports("MVP", _static(mvp_portfolio), data, config, out)
+    _write_reports("EQUAL", _static(ew), data, config, out)
 
 
 def cmd_hrp(config: RunConfig) -> None:
@@ -79,7 +78,7 @@ def cmd_hrp(config: RunConfig) -> None:
     (out / "hrp_weight_bars.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     write_portfolio_json(portfolio, "HRP", out / "hrp_weights.json")
 
-    _report_static(portfolio, "HRP", data, config, out)
+    _write_reports("HRP", _static(portfolio), data, config, out)
 
 
 def cmd_rl_train(config: RunConfig) -> None:
@@ -106,31 +105,11 @@ def cmd_rl_eval(config: RunConfig) -> None:
             f"actions; {n} assets need {feature_dim(n)} and {num_actions(n)}"
         )
 
-    schedule = evaluate(net, data.test_returns, config.rl)
-    report = backtest.run_backtest(
-        schedule,
-        data.test_returns,
-        config.risk_free,
-        config.trading_days,
-        method="RL",
-        phase="test",
-        dataset=data.dataset,
+    schedule, report = _write_reports(
+        "RL", lambda returns: evaluate(net, returns, config.rl), data, config, out
     )
     _write_curve_csv(report.curve, out / "rl_curve.csv")
     _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
-    backtest.write_report(report, out / "report_RL_test.json")
-
-    train_schedule = evaluate(net, data.train_returns, config.rl)
-    train_report = backtest.run_backtest(
-        train_schedule,
-        data.train_returns,
-        config.risk_free,
-        config.trading_days,
-        method="RL",
-        phase="train",
-        dataset=data.dataset,
-    )
-    backtest.write_report(train_report, out / "report_RL_train.json")
 
 
 def cmd_compare(config: RunConfig) -> None:
@@ -163,15 +142,28 @@ def _ensure_out(config: RunConfig) -> Path:
     return out
 
 
-def _report_static(
-    portfolio: mvp.Portfolio,
+_ScheduleFor = Callable[[analytics.ReturnTable], backtest.WeightSchedule]
+
+
+def _static(portfolio: mvp.Portfolio) -> _ScheduleFor:
+    """Schedule maker holding ``portfolio``'s weights on every date."""
+    return lambda returns: backtest.static_schedule(portfolio, returns.dates)
+
+
+def _write_reports(
     method: str,
+    schedule_for: _ScheduleFor,
     data: _PreparedData,
     config: RunConfig,
     out: Path,
-) -> None:
+) -> tuple[backtest.WeightSchedule, backtest.BacktestReport]:
+    """Score ``schedule_for(returns)`` on the train then the test split.
+
+    Writes ``report_<method>_<phase>.json`` for each and returns the
+    test-phase schedule and report.
+    """
     for phase, returns in (("train", data.train_returns), ("test", data.test_returns)):
-        schedule = backtest.static_schedule(portfolio, returns.dates)
+        schedule = schedule_for(returns)
         report = backtest.run_backtest(
             schedule,
             returns,
@@ -182,6 +174,7 @@ def _report_static(
             dataset=data.dataset,
         )
         backtest.write_report(report, out / f"report_{method}_{phase}.json")
+    return schedule, report
 
 
 def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> None:

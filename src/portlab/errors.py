@@ -43,11 +43,7 @@ class DivergenceError(PortlabError):
 
 
 class AlignmentError(PortlabError):
-    """Weight schedule dates do not cover the return dates."""
-
-
-class EmptyScheduleError(PortlabError):
-    """A weight schedule was requested for an empty date list."""
+    """Weight schedule dates are not exactly the return dates."""
 
 
 class ConfigError(PortlabError):

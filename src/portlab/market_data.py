@@ -109,6 +109,12 @@ def load_prices(path: str | Path) -> PriceTable:
         tickers = [c.strip() for c in header[1:]]
         if len(tickers) < 2:
             raise SchemaError(f"{path}: need at least 2 ticker columns, got {len(tickers)}")
+        # the CSV outputs write tickers unquoted
+        for ticker in tickers:
+            if any(c in ticker for c in ',"\r\n'):
+                raise SchemaError(
+                    f"{path}: ticker {ticker!r} holds a comma, quote or line break"
+                )
 
         dates: list[date] = []
         rows: list[list[float]] = []

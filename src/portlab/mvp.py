@@ -8,9 +8,8 @@ lives in ``tests/oracles.py``.
 
 The cloud is held as arrays, one row per sampled portfolio: volatilities,
 returns and Sharpe ratios of shape ``(count,)`` and weights of shape
-``(count, n)``. :class:`FrontierPoint` objects are built only for the
-rows a selection picks (minimum risk, maximum Sharpe, the efficient
-frontier's bins).
+``(count, n)``. Selections (minimum risk, maximum Sharpe, the efficient
+frontier's bins) are row indices into those arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import TRADING_DAYS, CovMatrix
-from .errors import UndefinedSharpeError
+from .errors import NonFiniteError, UndefinedSharpeError
 from .floatcsv import write_float_csv
 
 _CHUNK = 1000  # sampling chunk; fixed so clouds are prefix-stable across counts
@@ -47,16 +46,6 @@ class Portfolio:
         weights.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "weights", weights)
-
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    """One sampled portfolio: annualized volatility/return, Sharpe, weights."""
-
-    annual_volatility: float
-    annual_return: float
-    sharpe: float
-    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,15 +91,6 @@ class FrontierCloud:
     def sample_count(self) -> int:
         return self.volatilities.shape[0]
 
-    def point(self, i: int) -> FrontierPoint:
-        """Row ``i`` as a :class:`FrontierPoint` (weights are a read-only view)."""
-        return FrontierPoint(
-            annual_volatility=float(self.volatilities[i]),
-            annual_return=float(self.returns[i]),
-            sharpe=float(self.sharpes[i]),
-            weights=self.weights[i],
-        )
-
 
 def equal_weight(n: int, tickers: tuple[str, ...] | None = None) -> Portfolio:
     """1/n in every asset."""
@@ -137,7 +117,8 @@ def sample_portfolios(
     ``mu`` is annual mean returns; ``cov`` is the daily covariance, so
     volatility is annualized here. Sampling is chunked with one child
     RNG stream per chunk, which makes the cloud a deterministic function
-    of the seed and prefix-stable in ``count``.
+    of the seed and prefix-stable in ``count``. Raises
+    :class:`NonFiniteError` if a volatility or Sharpe ratio overflows float64.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -160,29 +141,37 @@ def sample_portfolios(
         draws = rng.uniform(size=(hi - lo, n))
         w = draws / draws.sum(axis=1, keepdims=True)
         variances = np.maximum(np.einsum("ij,jk,ik->i", w, sigma, w), 0.0)
-        v = np.sqrt(variances * trading_days)
+        r = w @ mu
+        # a zero volatility divides by zero here, but is reported just below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v = np.sqrt(variances * trading_days)
+            s = (r - risk_free) / v
         if not np.all(v > 0):
             raise UndefinedSharpeError("sampled portfolio has zero or undefined volatility")
-        r = w @ mu
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
+            raise NonFiniteError(
+                "annual volatility or Sharpe ratio (at risk_free "
+                f"{risk_free!r}) of a sampled portfolio overflows float64"
+            )
         weights[lo:hi] = w
         vols[lo:hi] = v
         rets[lo:hi] = r
-        sharpes[lo:hi] = (r - risk_free) / v
+        sharpes[lo:hi] = s
     return FrontierCloud(vols, rets, sharpes, weights, seed, risk_free)
 
 
-def min_risk_portfolio(cloud: FrontierCloud) -> FrontierPoint:
-    """The cloud's leftmost point: minimum volatility, ties to the lower index."""
-    return cloud.point(int(np.argmin(cloud.volatilities)))
+def min_risk_row(cloud: FrontierCloud) -> int:
+    """Row of the cloud's leftmost point: minimum volatility, ties to the lower index."""
+    return int(np.argmin(cloud.volatilities))
 
 
-def max_sharpe_portfolio(cloud: FrontierCloud) -> FrontierPoint:
-    """The cloud's optimum-risk point: maximum Sharpe, ties to the lower index."""
-    return cloud.point(int(np.argmax(cloud.sharpes)))
+def max_sharpe_row(cloud: FrontierCloud) -> int:
+    """Row of the cloud's optimum-risk point: maximum Sharpe, ties to the lower index."""
+    return int(np.argmax(cloud.sharpes))
 
 
-def efficient_frontier(cloud: FrontierCloud, bins: int) -> list[FrontierPoint]:
-    """Maximum-return point per volatility bin, ordered by volatility."""
+def efficient_frontier(cloud: FrontierCloud, bins: int) -> np.ndarray:
+    """Rows of the maximum-return point per volatility bin, ordered by volatility."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     vols = cloud.volatilities
@@ -202,32 +191,17 @@ def efficient_frontier(cloud: FrontierCloud, bins: int) -> list[FrontierPoint]:
             continue
         chosen.append(int(members[np.argmax(rets[members])]))
     chosen.sort(key=lambda i: (vols[i], i))
-    return [cloud.point(i) for i in chosen]
+    return np.array(chosen, dtype=np.intp)
 
 
 def write_frontier_csv(cloud: FrontierCloud, path: str | Path) -> None:
     """Dump the cloud as ``volatility,return,sharpe,w1..wN`` (one row per point)."""
-    _write_frontier_table(
-        path, cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights
-    )
+    write_frontier_rows(cloud, slice(None), path)
 
 
-def write_frontier_points(
-    points: list[FrontierPoint], n_assets: int, path: str | Path
-) -> None:
-    """Write selected points (e.g. the efficient frontier) in the cloud's CSV layout."""
-    _write_frontier_table(
-        path,
-        [p.annual_volatility for p in points],
-        [p.annual_return for p in points],
-        [p.sharpe for p in points],
-        np.array([p.weights for p in points], dtype=float).reshape(len(points), n_assets),
-    )
-
-
-def _write_frontier_table(
-    path: str | Path, vols, rets, sharpes, weights: np.ndarray
-) -> None:
-    n_assets = weights.shape[1]
+def write_frontier_rows(cloud: FrontierCloud, rows: np.ndarray | slice, path: str | Path) -> None:
+    """Write the cloud's rows ``rows`` (indices or a slice) in the layout above."""
+    n_assets = cloud.weights.shape[1]
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
-    write_float_csv(path, header, np.column_stack((vols, rets, sharpes, weights)))
+    columns = (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights)
+    write_float_csv(path, header, np.column_stack([c[rows] for c in columns]))

@@ -144,14 +144,14 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for episode in range(hp.episodes):
             state = env_reset(table, hp)
-            features = state_features(state)
+            features = state_features(state, table)
             cum_reward = 0.0
             losses: list[float] = []
             done = False
             while not done:
                 action = epsilon_greedy(qnet_forward(net, features), eps, rng)
                 next_state, reward, done = env_step(state, action, table, hp)
-                next_features = state_features(next_state)
+                next_features = state_features(next_state, table)
                 buffer.push(features, action, reward, next_features, done)
                 cum_reward += reward
                 if len(buffer) >= hp.batch_size:
@@ -185,7 +185,7 @@ def evaluate(net: QNetwork, returns_test: ReturnTable, hp: Hyperparams) -> Weigh
     weights[: state.t] = state.weights
     done = False
     while not done:
-        action = int(np.argmax(qnet_forward(net, state_features(state))))
+        action = int(np.argmax(qnet_forward(net, state_features(state, table))))
         next_state, _, done = env_step(state, action, table, hp)
         weights[state.t : next_state.t] = next_state.weights
         state = next_state

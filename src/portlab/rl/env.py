@@ -9,14 +9,14 @@ over the days the adjusted weights were held.
 
 A rollout visits ``t = window, window + rebalance_period, ...`` whatever
 actions it takes, so the correlation features depend only on ``t``. A
-:class:`FeatureTable` computes them once per return table;
-:func:`env_reset` and :func:`env_step` read them from it.
+:class:`FeatureTable` computes them once per return table, and a state
+holds only its weights and ``t``: :func:`state_features` reads the
+features at ``t`` from the table.
 
-Checks run where their input can change: the public ``EnvState(...)``
-checks features and weights in full; a :class:`FeatureTable` checks the
-[-1, 1] range of all its rows once, when built; :func:`env_step` checks
-only what it computes, the new weights (on the simplex) and the reward
-(finite), and builds the next state without re-checking its features.
+Each check sits with the data it guards: a :class:`FeatureTable` checks
+the [-1, 1] range of all its rows once, when built; every
+:class:`EnvState` checks that its weights lie on the simplex; and
+:func:`env_step` checks that the reward it computes is finite.
 """
 
 from __future__ import annotations
@@ -49,53 +49,25 @@ def feature_dim(n_assets: int) -> int:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Correlation features over the trailing window, weights, and time index."""
+    """Portfolio weights (on the simplex) at time index ``t``."""
 
-    corr_features: np.ndarray
     weights: np.ndarray
     t: int
 
     def __post_init__(self) -> None:
-        corr = np.asarray(self.corr_features, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        _check_correlations(corr)
-        _check_simplex(weights)
-        object.__setattr__(self, "corr_features", corr)
+        # two reductions, written so that NaN fails
+        if not (
+            np.minimum.reduce(weights) >= 0.0
+            and abs(float(np.add.reduce(weights)) - 1.0) <= 1e-9
+        ):
+            raise ValueError("weights must lie on the simplex")
         object.__setattr__(self, "weights", weights)
 
 
-def _state_from_table(table: FeatureTable, t: int, weights: np.ndarray) -> EnvState:
-    """The :class:`EnvState` at ``t``, its features read from ``table``.
-
-    The table checked its rows when built, so only the weights are checked
-    here; the feature row is neither copied nor re-checked.
-    """
-    _check_simplex(weights)
-    state = object.__new__(EnvState)
-    object.__setattr__(state, "corr_features", table.at(t))
-    object.__setattr__(state, "weights", weights)
-    object.__setattr__(state, "t", t)
-    return state
-
-
-def _check_correlations(corr: np.ndarray) -> None:
-    # written so that NaN fails
-    if not (np.all(corr >= -1.0) and np.all(corr <= 1.0)):
-        raise ValueError("correlation features must lie in [-1, 1]")
-
-
-def _check_simplex(weights: np.ndarray) -> None:
-    # two reductions, written so that NaN fails
-    if not (
-        np.minimum.reduce(weights) >= 0.0
-        and abs(float(np.add.reduce(weights)) - 1.0) <= 1e-9
-    ):
-        raise ValueError("weights must lie on the simplex")
-
-
-def state_features(state: EnvState) -> np.ndarray:
-    """Network input vector: correlation features then weights."""
-    return np.concatenate([state.corr_features, state.weights])
+def state_features(state: EnvState, table: FeatureTable) -> np.ndarray:
+    """Network input vector: ``table``'s correlation features at ``state.t``, then weights."""
+    return np.concatenate([table.at(state.t), state.weights])
 
 
 def apply_action(weights: np.ndarray, action: int, delta: float) -> np.ndarray:
@@ -146,7 +118,9 @@ class FeatureTable:
                 ) from None
             rows.append(corr[iu])
         self.values = np.stack(rows)
-        _check_correlations(self.values)
+        # written so that NaN fails
+        if not (np.all(self.values >= -1.0) and np.all(self.values <= 1.0)):
+            raise ValueError("correlation features must lie in [-1, 1]")
 
     def at(self, t: int) -> np.ndarray:
         """Features of the window ending just before row ``t``."""
@@ -157,10 +131,9 @@ class FeatureTable:
 
 
 def env_reset(table: FeatureTable, hp: Hyperparams) -> EnvState:
-    """Initial state: equal weights, features from the first ``window`` rows."""
+    """Initial state: equal weights at ``t = window``, after the first window of rows."""
     n = table.returns.n_assets
-    weights = np.full(n, 1.0 / n)
-    return EnvState(table.at(hp.window), weights, hp.window)
+    return EnvState(np.full(n, 1.0 / n), hp.window)
 
 
 def env_step(
@@ -171,9 +144,9 @@ def env_step(
 ) -> tuple[EnvState, float, bool]:
     """Apply an action, hold the weights for ``rebalance_period`` days, score them.
 
-    Returns the next state (time advanced, correlation features read from
-    ``table``), the annualized Sharpe reward over the held days, and
-    whether fewer than ``rebalance_period`` days remain afterwards.
+    Returns the next state (time advanced), the annualized Sharpe reward
+    over the held days, and whether fewer than ``rebalance_period`` days
+    remain afterwards.
     """
     returns = table.returns
     t = state.t
@@ -183,7 +156,7 @@ def env_step(
         )
     weights = apply_action(state.weights, action, hp.step_delta)
     t_next = t + hp.rebalance_period
-    next_state = _state_from_table(table, t_next, weights)
+    next_state = EnvState(weights, t_next)
     reward = annualized_sharpe(returns.values[t:t_next] @ weights)
     if not math.isfinite(reward):
         raise NonFiniteError(

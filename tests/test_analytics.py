@@ -107,6 +107,13 @@ class TestCovarianceCorrelation:
         with pytest.raises(ValueError, match="finite"):
             analytics.CovMatrix(("A", "B", "C"), values)
 
+    def test_cov_matrix_psd_check_scales_with_the_entries(self):
+        # eigvalsh puts the zero eigenvalues of this rank-one matrix near -3e-8
+        v = np.random.default_rng(3).normal(size=3)
+        analytics.CovMatrix(("A", "B", "C"), np.outer(v, v) * 5e7)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            analytics.CovMatrix(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]]) * 5e7)
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_names_the_column(self):
         # squares of 1e300 overflow float64 although every return is finite
@@ -191,13 +198,12 @@ class TestCumulativeReturns:
         with pytest.raises(AlignmentError):
             _curve(rets, schedule)
 
-    def test_superset_schedule_aligns(self):
+    def test_superset_schedule_errors(self):
+        # the schedule must be dated exactly as the returns, not merely cover them
         rets = make_returns(np.full((3, 2), 0.01))
-        longer = weekdays(5)
-        schedule = WeightSchedule(longer, np.full((5, 2), 0.5))
-        sub = analytics.ReturnTable(longer[1:4], rets.tickers, rets.values)
-        curve = _curve(sub, schedule)
-        assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
+        schedule = WeightSchedule(weekdays(5), np.full((5, 2), 0.5))
+        with pytest.raises(AlignmentError):
+            _curve(rets, schedule)
 
     def test_daily_returns_are_weighted_row_sums(self, rng):
         values = rng.normal(0.0, 0.02, size=(12, 3))

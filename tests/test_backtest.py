@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import weekdays
+from helpers import make_returns, weekdays
 from portlab.analytics import CumulativeCurve
-from portlab.backtest import BacktestReport, WeightSchedule
+from portlab.backtest import BacktestReport, WeightSchedule, run_backtest, static_schedule
+from portlab.errors import NonFiniteError
+from portlab.mvp import equal_weight
 
 
 def _report(**overrides) -> BacktestReport:
@@ -47,3 +49,12 @@ def test_risk_must_be_positive(risk):
 def test_schedule_rejects_rows_off_the_simplex(row):
     with pytest.raises(ValueError, match="simplex"):
         WeightSchedule(weekdays(2), np.array([[0.5, 0.5], row]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_risk_raises_non_finite_error():
+    # every daily return and the curve are finite, but squared deviations overflow
+    returns = make_returns([[1e200], [-1.0], [1e200]])
+    schedule = static_schedule(equal_weight(1, returns.tickers), returns.dates)
+    with pytest.raises(NonFiniteError, match="annual return or risk of MVP"):
+        run_backtest(schedule, returns, 0.01, method="MVP")

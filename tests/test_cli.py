@@ -8,13 +8,19 @@ the same bytes every time; the bundled fixture regenerates byte for byte.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import shutil
+import tempfile
+import warnings
+from contextlib import redirect_stderr
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import weekdays
 from portlab import backtest, cli, synthetic
@@ -114,8 +120,12 @@ def _edit_report(**fields):
         (_edit_report(risk=0.0), "annual risk must be > 0"),
         (_edit_report(risk=math.nan), "annual risk must be > 0, got nan"),
         (_edit_report(dataset=["d"]), "method and dataset must be strings"),
+        (
+            _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", None]]),
+            "curve values must be finite",
+        ),
     ],
-    ids=["truncated", "missing-key", "zero-risk", "nan-risk", "list-dataset"],
+    ids=["truncated", "missing-key", "zero-risk", "nan-risk", "list-dataset", "null-curve-cell"],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
     config, out = run_dir
@@ -244,6 +254,19 @@ def test_overflowing_statistics_give_one_line_error(tmp_path, capsys, command, m
     assert message in err[0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["mvp", "hrp"])
+def test_overflowing_sharpe_gives_one_line_error(tmp_path, fixture_csv, capsys, command):
+    # (return - 1e308) / volatility overflows when the volatility is below 1
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, "risk_free = 1e308\nmc_samples = 100\n")
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "Sharpe ratio" in err[0] and "overflows float64" in err[0]
+
+
 def _run_pipeline(config, out) -> dict[str, bytes]:
     for command in cli._COMMANDS:
         assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
@@ -266,3 +289,72 @@ def test_fixture_regenerates_byte_for_byte(tmp_path, fixture_csv, capsys):
     path = tmp_path / "prices.csv"
     assert synthetic.main([str(path)]) == 0
     assert path.read_bytes() == fixture_csv.read_bytes()
+
+
+@st.composite
+def _small_price_tables(draw) -> tuple[PriceTable, int]:
+    """A price table of 2-4 columns and its number of train rows.
+
+    Each column is a random walk, a constant, a copy of column 0, or an
+    alternation of two extremes, at scales from 1e-300 to 1e300; some cells
+    after the first row are missing, for forward-fill. The train and test
+    splits each have 3 to 12 rows, around the 9 (window 4 + period 2, plus
+    the dropped first row and one step) that the agent needs.
+    """
+    n_train = draw(st.integers(3, 12))
+    n_rows = n_train + draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["walk", "constant", "duplicate", "alternating"]))
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        if kind == "walk":
+            column = scale * np.exp(np.cumsum(rng.normal(0.0, 0.02, n_rows)))
+        elif kind == "constant":
+            column = np.full(n_rows, scale)
+        elif kind == "duplicate" and columns:
+            column = columns[0]
+        else:
+            high = 10.0 ** draw(st.integers(0, 300))
+            column = np.where(np.arange(n_rows) % 2 == 0, scale, high)
+        columns.append(column)
+    closes = np.column_stack(columns)
+    closes[1:][rng.uniform(size=(n_rows - 1, len(columns))) < 0.1] = np.nan
+    tickers = tuple(f"T{i}" for i in range(len(columns)))
+    return PriceTable(weekdays(n_rows), tickers, closes), n_train
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"JSON output holds {name}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_price_tables(), st.sampled_from([0.0, 0.01, 1e308]))
+def test_every_command_exits_cleanly_on_small_tables(case, risk_free):
+    table, n_train = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmp = Path(tmp)
+        write_prices(table, tmp / "prices.csv")
+        (tmp / "run.cfg").write_text(
+            f"data = {tmp / 'prices.csv'}\n"
+            f"train_end = {table.dates[n_train - 1]}\n"
+            f"test_start = {table.dates[n_train]}\n"
+            f"risk_free = {risk_free!r}\n"
+            "mc_samples = 50\nfrontier_bins = 5\n"
+            "rl.window = 4\nrl.rebalance_period = 2\nrl.episodes = 1\n"
+            "rl.batch_size = 2\nrl.hidden_dims = 4\n",
+            encoding="utf-8",
+        )
+        for command in cli._COMMANDS:
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = cli.main([command, "--config", str(tmp / "run.cfg"), "--out", str(tmp)])
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], (command, lines)
+            else:
+                assert code == 1, (command, code)
+                assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        for path in tmp.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)

@@ -30,21 +30,20 @@ def reference_frontier_csv(cloud: mvp.FrontierCloud, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)])
         for i in range(cloud.sample_count):
-            p = cloud.point(i)
-            writer.writerow(
-                [repr(p.annual_volatility), repr(p.annual_return), repr(p.sharpe)]
-                + [repr(float(w)) for w in p.weights]
-            )
+            writer.writerow([repr(float(v)) for v in _row_cells(cloud, i)])
 
 
-def reference_frontier_points(points, tickers, path) -> None:
-    header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(len(tickers))]
+def reference_frontier_rows(cloud: mvp.FrontierCloud, rows, path) -> None:
+    n = cloud.weights.shape[1]
+    header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)]
     lines = [",".join(header)]
-    for p in points:
-        cells = [repr(p.annual_volatility), repr(p.annual_return), repr(p.sharpe)]
-        cells += [repr(float(w)) for w in p.weights]
-        lines.append(",".join(cells))
+    for i in rows:
+        lines.append(",".join(repr(float(v)) for v in _row_cells(cloud, i)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _row_cells(cloud: mvp.FrontierCloud, i: int) -> list:
+    return [cloud.volatilities[i], cloud.returns[i], cloud.sharpes[i], *cloud.weights[i]]
 
 
 def reference_schedule_csv(schedule: WeightSchedule, tickers, path) -> None:
@@ -98,17 +97,16 @@ def test_frontier_csv_matches_reference(tmp_path, make):
 @pytest.mark.parametrize("make", [seeded_cloud, awkward_cloud], ids=["seeded", "awkward"])
 def test_frontier_curve_matches_reference(tmp_path, make):
     cloud = make()
-    points = mvp.efficient_frontier(cloud, bins=20)
-    points.append(cloud.point(0))
-    tickers = tuple(f"T{i}" for i in range(cloud.weights.shape[1]))
-    mvp.write_frontier_points(points, len(tickers), tmp_path / "new.csv")
-    reference_frontier_points(points, tickers, tmp_path / "ref.csv")
+    rows = np.append(mvp.efficient_frontier(cloud, bins=20), 0)
+    mvp.write_frontier_rows(cloud, rows, tmp_path / "new.csv")
+    reference_frontier_rows(cloud, rows, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_empty_frontier_curve_is_header_only(tmp_path):
-    mvp.write_frontier_points([], 2, tmp_path / "new.csv")
-    reference_frontier_points([], ("A", "B"), tmp_path / "ref.csv")
+    cloud = awkward_cloud()
+    mvp.write_frontier_rows(cloud, np.array([], dtype=int), tmp_path / "new.csv")
+    reference_frontier_rows(cloud, [], tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

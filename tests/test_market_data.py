@@ -93,6 +93,14 @@ class TestLoadPrices:
         with pytest.raises(PriceParseError, match="row 4"):
             load_prices(_write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "cell", ['"B,0"', '"B""0"', '"B\r0"', '"B\n0"'], ids=["comma", "quote", "cr", "lf"]
+    )
+    def test_ticker_the_csv_outputs_cannot_hold_is_schema_error(self, tmp_path, cell):
+        text = THREE_ROWS.replace("date,A,B", f"date,A,{cell}")
+        with pytest.raises(SchemaError, match="comma, quote or line break"):
+            load_prices(_write(tmp_path, text))
+
     def test_empty_cell_is_missing(self, tmp_path):
         text = THREE_ROWS.replace("2019-01-02,101,199", "2019-01-02,,199")
         table = load_prices(_write(tmp_path, text))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_cov, read_frontier_csv
 from oracles import SingularMatrixError, closed_form_min_variance
 from portlab import mvp
+from portlab.errors import NonFiniteError
 
 
 def synthetic_ten_asset_case():
@@ -31,8 +32,13 @@ def hand_cloud(rows, risk_free: float) -> mvp.FrontierCloud:
     return mvp.FrontierCloud(vols, rets, sharpes, weights, seed=0, risk_free=risk_free)
 
 
-def as_tuple(point: mvp.FrontierPoint) -> tuple:
-    return (point.annual_volatility, point.annual_return, point.sharpe, point.weights.tolist())
+def row_tuple(cloud: mvp.FrontierCloud, i: int) -> tuple:
+    return (
+        float(cloud.volatilities[i]),
+        float(cloud.returns[i]),
+        float(cloud.sharpes[i]),
+        cloud.weights[i].tolist(),
+    )
 
 
 class TestEqualWeight:
@@ -101,6 +107,15 @@ class TestSamplePortfolios:
         cloud = mvp.sample_portfolios(rng.uniform(0.0, 0.3, size=n), sigma, 64, 0.01, seed=seed)
         for weights, vol in zip(cloud.weights, cloud.volatilities):
             assert vol == pytest.approx(annual_vol(weights, sigma), rel=1e-12, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("daily_var", "risk_free"), [(1e307, 0.01), (1e-4, 1e308)], ids=["volatility", "sharpe"]
+    )
+    def test_overflow_raises_non_finite_error(self, daily_var, risk_free):
+        sigma = np.eye(2) * daily_var
+        with pytest.raises(NonFiniteError, match="overflows float64"):
+            mvp.sample_portfolios(np.array([0.1, 0.1]), sigma, 10, risk_free, seed=1)
 
     def test_count_must_be_positive(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -184,35 +199,35 @@ class TestMinRiskAndMaxSharpe:
     def test_dominant_point_wins_both(self):
         cloud = self._hand_cloud()
         row0 = (0.10, 0.30, (0.30 - 0.01) / 0.10, [1.0, 0.0])
-        assert as_tuple(cloud.point(0)) == row0
-        assert as_tuple(mvp.min_risk_portfolio(cloud)) == row0
-        assert as_tuple(mvp.max_sharpe_portfolio(cloud)) == row0
+        assert row_tuple(cloud, 0) == row0
+        assert mvp.min_risk_row(cloud) == 0
+        assert mvp.max_sharpe_row(cloud) == 0
 
     def test_singleton_cloud(self):
         cloud = hand_cloud([(0.2, 0.1, [1.0])], risk_free=0.01)
         only = (0.2, 0.1, (0.1 - 0.01) / 0.2, [1.0])
-        assert as_tuple(mvp.min_risk_portfolio(cloud)) == only
-        assert as_tuple(mvp.max_sharpe_portfolio(cloud)) == only
+        assert row_tuple(cloud, mvp.min_risk_row(cloud)) == only
+        assert row_tuple(cloud, mvp.max_sharpe_row(cloud)) == only
 
     def test_two_asset_equal_variance_optimum_is_half_half(self):
         sigma = np.diag([1e-4, 1e-4])
         cloud = mvp.sample_portfolios(
             np.array([0.1, 0.1]), sigma, 10_000, 0.01, seed=11
         )
-        best = mvp.min_risk_portfolio(cloud)
-        assert best.weights == pytest.approx([0.5, 0.5], abs=0.05)
+        best = mvp.min_risk_row(cloud)
+        assert cloud.weights[best] == pytest.approx([0.5, 0.5], abs=0.05)
 
     def test_argmax_contract(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = mvp.sample_portfolios(mu, sigma, 2000, 0.01, seed=5)
-        best = mvp.max_sharpe_portfolio(cloud)
-        assert best.sharpe >= cloud.sharpes.max()
+        best = mvp.max_sharpe_row(cloud)
+        assert cloud.sharpes[best] >= cloud.sharpes.max()
 
     def test_sharpe_invariant_as_stored(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = mvp.sample_portfolios(mu, sigma, 500, 0.013, seed=5)
-        best = mvp.max_sharpe_portfolio(cloud)
-        assert abs(best.sharpe - (best.annual_return - 0.013) / best.annual_volatility) <= 1e-9
+        vol, ret, sharpe, _ = row_tuple(cloud, mvp.max_sharpe_row(cloud))
+        assert abs(sharpe - (ret - 0.013) / vol) <= 1e-9
 
     def test_mc_min_vol_vs_closed_form(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -220,7 +235,7 @@ class TestMinRiskAndMaxSharpe:
         assert oracle.long_only
         vol_star = annual_vol(oracle.weights, sigma)
         cloud = mvp.sample_portfolios(mu, sigma, 10_000, 0.01, seed=7)
-        vol_mc = mvp.min_risk_portfolio(cloud).annual_volatility
+        vol_mc = cloud.volatilities[mvp.min_risk_row(cloud)]
         assert vol_mc >= vol_star
         assert (vol_mc - vol_star) / vol_star < 0.05
 
@@ -229,7 +244,7 @@ class TestMinRiskAndMaxSharpe:
         vols = []
         for count in (500, 1500, 4000):
             cloud = mvp.sample_portfolios(mu, sigma, count, 0.01, seed=13)
-            vols.append(mvp.min_risk_portfolio(cloud).annual_volatility)
+            vols.append(cloud.volatilities[mvp.min_risk_row(cloud)])
         assert vols[0] >= vols[1] >= vols[2]
 
 
@@ -244,7 +259,7 @@ class TestEfficientFrontier:
         cloud = mvp.sample_portfolios(mu, sigma, 1000, 0.01, seed=2)
         frontier = mvp.efficient_frontier(cloud, bins=1)
         assert len(frontier) == 1
-        assert frontier[0].annual_return == cloud.returns.max()
+        assert cloud.returns[frontier[0]] == cloud.returns.max()
 
     def test_points_dominate_their_bins(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -255,10 +270,10 @@ class TestEfficientFrontier:
         rets = cloud.returns
         vmin, vmax = vols.min(), vols.max()
         bin_of = np.minimum(((vols - vmin) / (vmax - vmin) * bins).astype(int), bins - 1)
-        for point in frontier:
-            b = min(int((point.annual_volatility - vmin) / (vmax - vmin) * bins), bins - 1)
-            assert point.annual_return == rets[bin_of == b].max()
-        ordered = [p.annual_volatility for p in frontier]
+        for i in frontier:
+            b = min(int((vols[i] - vmin) / (vmax - vmin) * bins), bins - 1)
+            assert rets[i] == rets[bin_of == b].max()
+        ordered = vols[frontier].tolist()
         assert ordered == sorted(ordered)
 
 

@@ -37,7 +37,6 @@ from portlab.rl import (
     hold_action,
     qnet_forward,
     qnet_init,
-    state_features,
     train,
 )
 from portlab.rl.env import VOL_FLOOR
@@ -73,9 +72,9 @@ class _ListReplay:
         return [self.items[i] for i in idx]
 
 
-def _reference_features(values: np.ndarray, t: int, window: int) -> np.ndarray:
+def _reference_features(values: np.ndarray, t: int, window: int, weights) -> np.ndarray:
     corr = correlation_values(values[t - window : t])
-    return corr[np.triu_indices(corr.shape[0], k=1)]
+    return np.concatenate([corr[np.triu_indices(corr.shape[0], k=1)], weights])
 
 
 def _reference_train(returns, hp: Hyperparams):
@@ -87,26 +86,20 @@ def _reference_train(returns, hp: Hyperparams):
     eps = hp.eps_start
     log = []
     for episode in range(hp.episodes):
-        state = EnvState(
-            _reference_features(values, hp.window, hp.window), np.full(n, 1.0 / n), hp.window
-        )
+        t = hp.window
+        weights = np.full(n, 1.0 / n)
+        features = _reference_features(values, t, hp.window, weights)
         cum_reward = 0.0
         losses = []
         done = False
         while not done:
-            features = state_features(state)
             action = epsilon_greedy(qnet_forward(net, features), eps, rng)
-            t = state.t
-            weights = apply_action(state.weights, action, hp.step_delta)
+            weights = apply_action(weights, action, hp.step_delta)
             reward = annualized_sharpe(values[t : t + hp.rebalance_period] @ weights)
-            t_next = t + hp.rebalance_period
-            next_state = EnvState(
-                _reference_features(values, t_next, hp.window), weights, t_next
-            )
-            done = (n_rows - t_next) < hp.rebalance_period
-            buffer.push(
-                _Transition(features, action, reward, state_features(next_state), done)
-            )
+            t += hp.rebalance_period
+            done = (n_rows - t) < hp.rebalance_period
+            next_features = _reference_features(values, t, hp.window, weights)
+            buffer.push(_Transition(features, action, reward, next_features, done))
             cum_reward += reward
             if len(buffer.items) >= hp.batch_size:
                 batch = buffer.sample(rng, hp.batch_size)
@@ -126,7 +119,7 @@ def _reference_train(returns, hp: Hyperparams):
                     w -= hp.learning_rate * gw
                     b -= hp.learning_rate * gb
                 losses.append(loss)
-            state = next_state
+            features = next_features
         mean_loss = float(np.mean(losses)) if losses else 0.0
         log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
         eps = max(hp.eps_min, eps * hp.eps_decay)
@@ -265,30 +258,39 @@ def test_annualized_sharpe_of_overflowing_volatility_is_nan():
 
 
 @pytest.mark.parametrize(
-    ("corr", "weights"),
-    [
-        ([1.0000001], [0.5, 0.5]),
-        ([-1.5], [0.5, 0.5]),
-        ([math.nan], [0.5, 0.5]),
-        ([0.2], [0.6, 0.6]),
-        ([0.2], [-0.1, 1.1]),
-        ([0.2], [math.nan, 1.0]),
-    ],
-    ids=["corr-above-1", "corr-below-minus-1", "corr-nan", "sum-1.2", "negative", "weight-nan"],
+    "weights",
+    [[0.6, 0.6], [-0.1, 1.1], [math.nan, 1.0]],
+    ids=["sum-1.2", "negative", "weight-nan"],
 )
-def test_env_state_rejects_bad_features_and_weights(corr, weights):
-    with pytest.raises(ValueError, match=r"\[-1, 1\]|simplex"):
-        EnvState(np.array(corr), np.array(weights), 10)
+def test_env_state_rejects_bad_features_and_weights(weights):
+    # a state's features live in its FeatureTable, which checks them
+    with pytest.raises(ValueError, match="simplex"):
+        EnvState(np.array(weights), 10)
 
 
-def test_feature_table_checks_its_rows_once(monkeypatch):
+def _out_of_range_correlations(monkeypatch, value: float) -> list:
+    """Make every window's correlations ``value``; return the list of windows computed."""
     calls = []
 
     def out_of_range(values, names=None):
         calls.append(values.shape)
-        return np.full((values.shape[1],) * 2, 1.5)
+        return np.full((values.shape[1],) * 2, value)
 
     monkeypatch.setattr(portlab.rl.env, "correlation_values", out_of_range)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "corr", [1.0000001, -1.5, math.nan], ids=["corr-above-1", "corr-below-minus-1", "corr-nan"]
+)
+def test_feature_table_rejects_bad_features(monkeypatch, corr):
+    _out_of_range_correlations(monkeypatch, corr)
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        FeatureTable(random_returns(np.random.default_rng(5), 30, 3), _small_hp())
+
+
+def test_feature_table_checks_its_rows_once(monkeypatch):
+    calls = _out_of_range_correlations(monkeypatch, 1.5)
     returns = random_returns(np.random.default_rng(5), 30, 3)
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         FeatureTable(returns, _small_hp())
