@@ -1,4 +1,4 @@
-"""Return, volatility, covariance/correlation, and portfolio-level statistics.
+"""Returns, annual mean returns, covariance/correlation, and portfolio-level statistics.
 
 Conventions, fixed once so golden values stay stable:
 
@@ -109,17 +109,6 @@ class CorrMatrix:
 
 
 @dataclass(frozen=True)
-class AssetStats:
-    """Per-ticker daily/annual mean return and volatility."""
-
-    tickers: tuple[str, ...]
-    mean_daily: np.ndarray
-    daily_vol: np.ndarray
-    annual_vol: np.ndarray
-    annual_mean: np.ndarray
-
-
-@dataclass(frozen=True)
 class CumulativeCurve:
     """Compounded cumulative return per date: ``prod(1 + r) - 1`` up to each day."""
 
@@ -158,30 +147,23 @@ def _cleaned_closes(table: PriceTable) -> np.ndarray:
     return table.closes
 
 
-def volatility(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> AssetStats:
-    """Per-column mean and sample standard deviation, daily and annualized."""
-    if returns.n_rows < 2:
-        raise InsufficientDataError(
-            f"volatility needs at least 2 return rows, got {returns.n_rows}"
-        )
+def annual_mean(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> np.ndarray:
+    """Per-column mean daily return scaled by ``trading_days``.
+
+    Raises :class:`NonFiniteError` naming the first asset whose annual
+    mean overflows float64.
+    """
+    if returns.n_rows < 1:
+        raise InsufficientDataError("annual mean needs at least 1 return row")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_daily = returns.values.mean(axis=0)
-        daily_vol = returns.values.std(axis=0, ddof=1)
-    # a mean that overflows makes the deviations, and so the std, non-finite
-    bad = ~np.isfinite(daily_vol)
+        values = returns.values.mean(axis=0) * trading_days
+    bad = ~np.isfinite(values)
     if bad.any():
         raise NonFiniteError(
-            f"daily volatility of {returns.tickers[int(np.argmax(bad))]} overflows float64 "
+            f"annual mean return of {returns.tickers[int(np.argmax(bad))]} overflows float64 "
             f"over {returns.dates[0]} to {returns.dates[-1]}"
         )
-    root = math.sqrt(trading_days)
-    return AssetStats(
-        tickers=returns.tickers,
-        mean_daily=mean_daily,
-        daily_vol=daily_vol,
-        annual_vol=daily_vol * root,
-        annual_mean=mean_daily * trading_days,
-    )
+    return values
 
 
 def covariance_values(values: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:

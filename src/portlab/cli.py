@@ -23,25 +23,19 @@ from .errors import ConfigError, ModelFormatError, PortlabError
 from .floatcsv import write_float_csv
 from .jsonfile import write_json
 from .market_data import DateSplit, forward_fill, load_prices, split_by_date
-from .rl import (
-    evaluate,
-    feature_dim,
-    load_qnetwork,
-    num_actions,
-    save_qnetwork,
-    train,
-    write_training_log,
-)
+from .rl.agent import evaluate, train, write_training_log
+from .rl.env import feature_dim, num_actions
+from .rl.network import load_qnetwork, save_qnetwork
 
 
 def cmd_mvp(config: RunConfig) -> None:
     """Monte-Carlo frontier, min-risk/max-Sharpe portfolios, EW baseline."""
     data = _PreparedData(config)
     out = _ensure_out(config)
-    stats = analytics.volatility(data.train_returns, config.trading_days)
+    # covariance first: it reports fewer than 2 rows and overflowing squares
     cov = analytics.covariance(data.train_returns)
     cloud = mvp.sample_portfolios(
-        stats.annual_mean,
+        analytics.annual_mean(data.train_returns, config.trading_days),
         cov,
         config.mc_samples,
         config.risk_free,
@@ -59,7 +53,7 @@ def cmd_mvp(config: RunConfig) -> None:
         "MVP_MAX_SHARPE",
         out / "mvp_max_sharpe_weights.json",
     )
-    ew = mvp.equal_weight(len(data.tickers), data.tickers)
+    ew = mvp.equal_weight(data.tickers)
     write_portfolio_json(ew, "EQUAL", out / "equal_weights.json")
 
     _write_reports("MVP", _static(mvp_portfolio), data, config, out)

@@ -1,20 +1,20 @@
 """Run configuration: a flat text file of ``key = value`` lines.
 
-Keys are dotted for the agent's hyperparameter block (``rl.window``,
-``rl.episodes``, ...). Blank lines and ``#`` comments are ignored.
-Absent keys take defaults; ``data``, ``train_end``, and ``test_start``
-are required. ``rl.seed`` defaults to the top-level seed so one value
+The keys are the fields of :class:`RunConfig` and, prefixed ``rl.``,
+those of the agent's :class:`Hyperparams`; each value is parsed by its
+field's annotated type. Blank lines and ``#`` comments are ignored.
+Absent keys take their field's default; a field without one is a
+required key. ``rl.seed`` defaults to the top-level seed so one value
 pins the whole run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 from .errors import ConfigError
 from .rl.params import Hyperparams
@@ -45,35 +45,26 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
-_TOP_LEVEL: dict[str, Callable[[str], Any]] = {
-    "data": Path,
-    "train_end": date.fromisoformat,
-    "test_start": date.fromisoformat,
-    "trading_days": int,
-    "risk_free": float,
-    "mc_samples": int,
-    "frontier_bins": int,
-    "out_dir": Path,
-    "seed": int,
+_PARSERS: dict[Any, Callable[[str], Any]] = {
+    int: int,
+    float: float,
+    Path: Path,
+    date: date.fromisoformat,
+    tuple[int, ...]: _parse_dims,
 }
 
-_RL: dict[str, Callable[[str], Any]] = {
-    "window": int,
-    "episodes": int,
-    "batch_size": int,
-    "rebalance_period": int,
-    "learning_rate": float,
-    "discount": float,
-    "eps_start": float,
-    "eps_min": float,
-    "eps_decay": float,
-    "step_delta": float,
-    "hidden_dims": _parse_dims,
-    "replay_capacity": int,
-    "seed": int,
-}
 
-_REQUIRED = ("data", "train_end", "test_start")
+def _key_parsers(cls: type, nested: str | None = None) -> dict[str, Callable[[str], Any]]:
+    """Each field of ``cls`` but ``nested``, with the parser for its annotated type."""
+    hints = get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]] for f in fields(cls) if f.name != nested}
+
+
+_TOP_LEVEL = _key_parsers(RunConfig, nested="rl")
+_RL = _key_parsers(Hyperparams)
+_REQUIRED = tuple(
+    f.name for f in fields(RunConfig) if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -122,10 +113,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:
     """Re-pin both the top-level and agent seeds."""
-    return dataclasses.replace(
-        config, seed=seed, rl=dataclasses.replace(config.rl, seed=seed)
-    )
+    return replace(config, seed=seed, rl=replace(config.rl, seed=seed))
 
 
 def with_out_dir(config: RunConfig, out_dir: Path) -> RunConfig:
-    return dataclasses.replace(config, out_dir=out_dir)
+    return replace(config, out_dir=out_dir)

@@ -23,16 +23,10 @@ from .mvp import Portfolio
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric non-negative distances with zero diagonal.
-
-    ``kind`` records which transform produced it: "correlation" for the
-    elementwise sqrt(0.5 * (1 - rho)) map, "codistance" for the pairwise
-    Euclidean distance between its columns.
-    """
+    """Symmetric non-negative distances with zero diagonal."""
 
     tickers: tuple[str, ...]
     values: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         values = freeze_square_matrix(self, "distance")
@@ -105,7 +99,7 @@ def corr_distance(corr: CorrMatrix) -> DistanceMatrix:
     """Map correlations to distances: ``sqrt(0.5 * (1 - rho))``."""
     values = np.sqrt(np.maximum(0.5 * (1.0 - corr.values), 0.0))
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(corr.tickers, values, kind="correlation")
+    return DistanceMatrix(corr.tickers, values)
 
 
 def codistance(d: DistanceMatrix) -> DistanceMatrix:
@@ -120,7 +114,7 @@ def codistance(d: DistanceMatrix) -> DistanceMatrix:
     for j in range(values.shape[1]):
         diff = d.values - d.values[:, j : j + 1]
         values[:, j] = np.sqrt((diff * diff).sum(axis=0))
-    return DistanceMatrix(d.tickers, values, kind="codistance")
+    return DistanceMatrix(d.tickers, values)
 
 
 def single_linkage(d: DistanceMatrix) -> LinkageTree:

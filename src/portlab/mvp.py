@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -62,7 +63,6 @@ class FrontierCloud:
     returns: np.ndarray
     sharpes: np.ndarray
     weights: np.ndarray
-    seed: int
     risk_free: float
 
     def __post_init__(self) -> None:
@@ -92,15 +92,11 @@ class FrontierCloud:
         return self.volatilities.shape[0]
 
 
-def equal_weight(n: int, tickers: tuple[str, ...] | None = None) -> Portfolio:
-    """1/n in every asset."""
-    if n < 1:
+def equal_weight(tickers: Sequence[str]) -> Portfolio:
+    """1/n in each of the n assets."""
+    if not tickers:
         raise ValueError("need at least one asset")
-    if tickers is None:
-        tickers = tuple(f"asset_{i}" for i in range(n))
-    elif len(tickers) != n:
-        raise ValueError("tickers must match asset count")
-    return Portfolio(tickers, np.full(n, 1.0 / n))
+    return Portfolio(tickers, np.full(len(tickers), 1.0 / len(tickers)))
 
 
 def sample_portfolios(
@@ -157,7 +153,7 @@ def sample_portfolios(
         vols[lo:hi] = v
         rets[lo:hi] = r
         sharpes[lo:hi] = s
-    return FrontierCloud(vols, rets, sharpes, weights, seed, risk_free)
+    return FrontierCloud(vols, rets, sharpes, weights, risk_free)
 
 
 def min_risk_row(cloud: FrontierCloud) -> int:

@@ -6,12 +6,14 @@ action's Q-value and its TD target; gradients flow only through the
 taken action's output. Everything is float64 numpy so the analytic
 gradients can be checked against central finite differences.
 
-All parameters live in one flat vector, ``QNetwork.params``, laid out
-layer by layer with each weight matrix (row-major) before its bias, the
-order :func:`save_qnetwork` writes. ``weights[i]`` and ``biases[i]`` are
-views into it. The backward pass writes into a gradient vector of the
-same layout, so a training step updates every parameter with one
-in-place ``params -= learning_rate * grad``. Each layer computes
+A network is its layer widths, ``QNetwork.layer_dims``, and one flat
+parameter vector, ``QNetwork.params``, laid out layer by layer with each
+weight matrix (row-major) before its bias: the order :func:`save_qnetwork`
+writes and :func:`qnet_init` draws. The constructor is the one shape
+check; ``weights[i]`` and ``biases[i]`` are views into the vector. The
+backward pass writes into a gradient vector of the same layout, so a
+training step updates every parameter with one in-place
+``params -= learning_rate * grad``. Each layer computes
 ``a @ w``, adds the bias and rectifies in place: the same float
 operations in the same order as ``max(a @ w + b, 0)``.
 """
@@ -33,50 +35,39 @@ if TYPE_CHECKING:
 
 
 class QNetwork:
-    """Per-layer weight matrices (fan_in x fan_out) and bias vectors.
+    """Layer widths and the one flat parameter vector they lay out.
 
-    ``weights[i]`` and ``biases[i]`` are views into the flat ``params``
-    vector, so writing into them (``w -= ...``, ``w[i, j] = ...``) updates
-    ``params``. Mutable during training; treat as immutable once training
-    finished.
+    ``layer_dims`` is ``(inputs, *hidden widths, outputs)``. ``params`` is
+    held as given, not copied; ``weights[i]`` (fan_in x fan_out) and
+    ``biases[i]`` are views into it, so writing into them (``w -= ...``,
+    ``w[i, j] = ...``) updates ``params``. Mutable during training; treat
+    as immutable once training finished.
     """
 
-    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("need one bias vector per weight matrix")
-        for w, b in zip(weights, biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("bias length must equal layer fan-out")
-        for prev, nxt in zip(weights, weights[1:]):
-            if prev.shape[1] != nxt.shape[0]:
-                raise ValueError("layer dimensions do not chain")
-        if not all(np.all(np.isfinite(w)) for w in weights) or not all(
-            np.all(np.isfinite(b)) for b in biases
-        ):
+    def __init__(self, layer_dims: Sequence[int], params: np.ndarray):
+        dims = tuple(layer_dims)
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError("need at least input and output dims, all >= 1")
+        params = np.asarray(params, dtype=float)
+        expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
+        if params.shape != (expected,):
+            raise ValueError(f"dims {list(dims)} need {expected} parameters, found {params.size}")
+        if not np.all(np.isfinite(params)):
             raise ValueError("parameters must be finite")
-        dims = (weights[0].shape[0],) + tuple(w.shape[1] for w in weights)
-        self.params = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
-        self.weights, self.biases = _layer_views(self.params, dims)
-        for view, value in zip(self.weights + self.biases, [*weights, *biases]):
-            view[...] = value
+        self.layer_dims = dims
+        self.params = params
+        self.weights, self.biases = _layer_views(params, dims)
         # written by every training step, same layout as params
-        self._grad = np.zeros_like(self.params)
+        self._grad = np.zeros_like(params)
         self._grad_w, self._grad_b = _layer_views(self._grad, dims)
 
     @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    @property
     def n_inputs(self) -> int:
-        return self.weights[0].shape[0]
+        return self.layer_dims[0]
 
     @property
     def n_outputs(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def parameter_count(self) -> int:
-        return self.params.size
+        return self.layer_dims[-1]
 
 
 def _layer_views(
@@ -100,14 +91,12 @@ def qnet_init(
     """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases, seeded."""
     if rng is None:
         rng = np.random.default_rng(hp.seed)
-    dims = [feature_dim(n_assets), *hp.hidden_dims, num_actions(n_assets)]
-    weights = []
-    biases = []
+    dims = (feature_dim(n_assets), *hp.hidden_dims, num_actions(n_assets))
+    layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return QNetwork(weights, biases)
+        layers += [rng.uniform(-limit, limit, size=fan_in * fan_out), np.zeros(fan_out)]
+    return QNetwork(dims, np.concatenate(layers))
 
 
 def qnet_forward(net: QNetwork, features: np.ndarray) -> np.ndarray:
@@ -236,19 +225,7 @@ def load_qnetwork(path: str | Path) -> QNetwork:
         dims = [int(tok) for tok in text[0].split()[1:]]
     except ValueError:
         raise ModelFormatError(f"{path}: bad layer dims in header {text[0]!r}") from None
-    if len(dims) < 2 or min(dims) < 1:
-        raise ModelFormatError(f"{path}: need at least input and output dims, all >= 1")
-    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:]))
-    if len(text) - 1 != expected:
-        raise ModelFormatError(
-            f"{path}: dims {dims} need {expected} parameters, found {len(text) - 1}"
-        )
     try:
-        values = np.array([float(v) for v in text[1:]])
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
-    weights, biases = _layer_views(values, dims)
-    try:
-        return QNetwork(weights, biases)
+        return QNetwork(dims, np.array([float(v) for v in text[1:]]))
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

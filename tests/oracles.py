@@ -8,7 +8,7 @@
 * a tabular Q-learning check: the same backup applied to a lookup table
   on a tiny solvable MDP must converge to the value-iteration fixed point;
 * :func:`read_training_log`, the inverse of
-  :func:`portlab.rl.write_training_log`.
+  :func:`portlab.rl.agent.write_training_log`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from portlab.analytics import CovMatrix
-from portlab.rl import EpisodeStats
+from portlab.rl.agent import EpisodeStats
 
 
 class SingularMatrixError(Exception):

@@ -37,37 +37,28 @@ class TestReturns:
             analytics.simple_returns(table)
 
 
-class TestVolatility:
-    def test_alternating_returns(self):
-        rets = make_returns([[0.01, 0.0], [-0.01, 0.0], [0.01, 0.0], [-0.01, 0.0]])
-        stats = analytics.volatility(rets)
-        # sample std of +-0.01 around mean 0: sqrt(4e-4 / 3)
-        assert stats.daily_vol[0] == pytest.approx(math.sqrt(4e-4 / 3), abs=1e-12)
-        assert stats.daily_vol[0] == pytest.approx(0.0115470, abs=1e-7)
-
-    def test_constant_returns_zero_vol(self):
-        stats = analytics.volatility(make_returns([[0.004, 0.1], [0.004, 0.1]]))
-        assert stats.daily_vol[0] == 0.0
-
+class TestAnnualMean:
     def test_annualization_factor(self):
         rets = make_returns([[0.011, 0.0], [-0.009, 0.0], [0.03, 0.01]])
-        stats = analytics.volatility(rets, trading_days=252)
-        assert np.array_equal(stats.annual_vol, stats.daily_vol * math.sqrt(252))
-        assert np.array_equal(stats.annual_mean, stats.mean_daily * 252)
-
-    def test_point_scaling(self):
-        # daily vol 0.01 annualizes to 0.1587451 under 252 trading days
-        assert 0.01 * math.sqrt(252) == pytest.approx(0.1587451, abs=1e-7)
-
-    def test_insufficient_rows(self):
-        rets = make_returns(np.array([[0.01, 0.02]]))
-        with pytest.raises(InsufficientDataError):
-            analytics.volatility(rets)
+        assert np.array_equal(analytics.annual_mean(rets), rets.values.mean(axis=0) * 252)
 
     def test_configurable_trading_days(self):
         rets = make_returns([[0.01, 0.0], [-0.01, 0.02], [0.0, 0.01]])
-        stats = analytics.volatility(rets, trading_days=250)
-        assert np.array_equal(stats.annual_vol, stats.daily_vol * math.sqrt(250))
+        mean = analytics.annual_mean(rets, trading_days=250)
+        assert np.array_equal(mean, rets.values.mean(axis=0) * 250)
+        assert mean == pytest.approx([0.0, 2.5], abs=1e-15)
+
+    def test_insufficient_rows(self):
+        rets = make_returns(np.empty((0, 2)))
+        with pytest.raises(InsufficientDataError):
+            analytics.annual_mean(rets)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mean_names_the_asset(self):
+        # both returns are 2**1017: finite, and so is their (zero) variance
+        rets = make_returns([[0.01, 2.0**1017], [0.02, 2.0**1017]], tickers=("A", "B"))
+        with pytest.raises(NonFiniteError, match="annual mean return of B overflows"):
+            analytics.annual_mean(rets)
 
 
 class TestCovarianceCorrelation:
@@ -127,12 +118,6 @@ class TestCovarianceCorrelation:
             with pytest.raises(NonFiniteError, match="of B"):
                 fn(rets)
 
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_volatility_names_the_asset(self):
-        rets = make_returns([[0.01, 1e300], [0.02, -1.0], [0.0, 1e300]], tickers=("A", "B"))
-        with pytest.raises(NonFiniteError, match="volatility of B overflows"):
-            analytics.volatility(rets)
-
     @given(st.integers(0, 2**31 - 1))
     def test_standardized_covariance_equals_correlation(self, seed):
         rng = np.random.default_rng(seed)
@@ -162,13 +147,13 @@ class TestSharpe:
 class TestCumulativeReturns:
     def test_constant_returns_compound(self):
         rets = make_returns(np.full((3, 2), 0.01))
-        schedule = static_schedule(equal_weight(2, rets.tickers), rets.dates)
+        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
         curve = _curve(rets, schedule)
         assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
 
     def test_zero_returns_flat(self):
         rets = make_returns(np.zeros((4, 2)))
-        schedule = static_schedule(equal_weight(2, rets.tickers), rets.dates)
+        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
         assert np.all(_curve(rets, schedule).values == 0.0)
 
     def test_single_asset_passthrough(self, rng):
@@ -186,7 +171,7 @@ class TestCumulativeReturns:
     def test_equal_weights_match_row_mean_compounding(self, rng):
         values = rng.normal(0.0, 0.02, size=(15, 5))
         rets = make_returns(values)
-        schedule = static_schedule(equal_weight(5, rets.tickers), rets.dates)
+        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
         curve = _curve(rets, schedule)
         expect = np.cumprod(1 + values.mean(axis=1)) - 1
         assert np.max(np.abs(curve.values - expect)) < 1e-12

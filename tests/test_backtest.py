@@ -55,6 +55,6 @@ def test_schedule_rejects_rows_off_the_simplex(row):
 def test_overflowing_risk_raises_non_finite_error():
     # every daily return and the curve are finite, but squared deviations overflow
     returns = make_returns([[1e200], [-1.0], [1e200]])
-    schedule = static_schedule(equal_weight(1, returns.tickers), returns.dates)
+    schedule = static_schedule(equal_weight(returns.tickers), returns.dates)
     with pytest.raises(NonFiniteError, match="annual return or risk of MVP"):
         run_backtest(schedule, returns, 0.01, method="MVP")

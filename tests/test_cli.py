@@ -26,7 +26,8 @@ from helpers import weekdays
 from portlab import backtest, cli, synthetic
 from portlab.analytics import CumulativeCurve
 from portlab.market_data import PriceTable, write_prices
-from portlab.rl import Hyperparams, qnet_init, save_qnetwork
+from portlab.rl.network import qnet_init, save_qnetwork
+from portlab.rl.params import Hyperparams
 
 FIXTURE_ASSETS = 10
 
@@ -235,7 +236,7 @@ def test_non_finite_returns_give_one_line_error(
 @pytest.mark.parametrize(
     ("command", "message"),
     [
-        ("mvp", "daily volatility of STK0 overflows float64"),
+        ("mvp", "sample covariance of STK0 over 349 rows overflows float64"),
         ("hrp", "sample covariance of STK0 over 349 rows overflows float64"),
         ("rl-train", "in the window 2018-01-02 to 2018-03-26: sample covariance of STK0"),
     ],
@@ -252,6 +253,24 @@ def test_overflowing_statistics_give_one_line_error(tmp_path, capsys, command, m
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_annual_mean_gives_one_line_error(tmp_path, capsys):
+    # closes 2**-1074, 2**-57, 2**960: both returns are exactly 2**1017, so the
+    # covariance is 0, but their mean times 252 overflows float64
+    dates = weekdays(6, date(2019, 5, 1))
+    closes = np.array([[5e-324, 6.938893903907228e-18, 9.7453140114e288, 1.0, 1.0, 1.0],
+                       [1.0, 1.1, 1.2, 1.3, 1.2, 1.1]]).T
+    prices = tmp_path / "prices.csv"
+    write_prices(PriceTable(dates, ("HUGE", "CALM"), closes), prices)
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices, "mc_samples = 100\n")
+    code = cli.main(["mvp", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "annual mean return of HUGE overflows float64" in err[0]
 
 
 @pytest.mark.filterwarnings("error")

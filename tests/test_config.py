@@ -7,13 +7,16 @@ is one, the offending key; errors tied to one line name it as
 
 from __future__ import annotations
 
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
 import pytest
 
+from conftest import REPO_ROOT
 from portlab.config import RunConfig, load_config, with_out_dir, with_seed
 from portlab.errors import ConfigError
+from portlab.rl.params import Hyperparams
 
 REQUIRED = "data = prices.csv\ntrain_end = 2019-05-03\ntest_start = 2019-05-06\n"
 
@@ -42,6 +45,52 @@ def test_values_parse_to_their_types(tmp_path):
     assert config.rl.learning_rate == 1e-4
     assert config.rl.episodes == 3
     assert config.mc_samples == RunConfig.mc_samples
+
+
+def _as_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_every_field_is_a_key(tmp_path):
+    expected = RunConfig(Path("prices.csv"), date(2019, 5, 3), date(2019, 5, 6))
+    lines = [
+        f"{f.name} = {_as_text(getattr(expected, f.name))}"
+        for f in fields(RunConfig)
+        if f.name != "rl"
+    ]
+    lines += [
+        f"rl.{f.name} = {_as_text(getattr(expected.rl, f.name))}" for f in fields(Hyperparams)
+    ]
+    assert _load(tmp_path, "".join(line + "\n" for line in lines)) == expected
+
+
+def test_demo_config_loads_unchanged():
+    assert load_config(REPO_ROOT / "configs" / "demo.cfg") == RunConfig(
+        data=Path("data/synthetic_prices.csv"),
+        train_end=date(2019, 5, 3),
+        test_start=date(2019, 5, 6),
+        trading_days=252,
+        risk_free=0.01,
+        mc_samples=10000,
+        frontier_bins=50,
+        out_dir=Path("runs/demo"),
+        seed=7,
+        rl=Hyperparams(
+            window=60,
+            episodes=50,
+            batch_size=32,
+            rebalance_period=5,
+            learning_rate=0.001,
+            discount=0.9,
+            eps_start=1.0,
+            eps_min=0.05,
+            eps_decay=0.95,
+            step_delta=0.02,
+            hidden_dims=(64, 32),
+            replay_capacity=10000,
+            seed=7,
+        ),
+    )
 
 
 def test_agent_seed_defaults_to_top_level_seed(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from helpers import weekdays
 from portlab import cli, floatcsv, mvp
 from portlab.backtest import WeightSchedule
-from portlab.rl import EpisodeStats, write_training_log
+from portlab.rl.agent import EpisodeStats, write_training_log
 
 # cells whose shortest repr is in exponent form, or not what the literal suggests
 AWKWARD = [1e-05, 1e16, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1.0, 123456789.125]
@@ -75,7 +75,7 @@ def awkward_cloud() -> mvp.FrontierCloud:
     )
     vols = np.array([1e-05, 0.1 + 0.2, 1e16, 0.25])
     rets = np.array([1e16, -0.0, 0.1 + 0.2, 5e-324])
-    return mvp.FrontierCloud(vols, rets, (rets - 0.01) / vols, weights, seed=0, risk_free=0.01)
+    return mvp.FrontierCloud(vols, rets, (rets - 0.01) / vols, weights, risk_free=0.01)
 
 
 def seeded_cloud(count: int = 2500) -> mvp.FrontierCloud:

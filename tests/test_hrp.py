@@ -15,9 +15,9 @@ def tickers(n):
     return tuple(f"T{i}" for i in range(n))
 
 
-def dist(values, kind="codistance"):
+def dist(values):
     values = np.asarray(values, dtype=float)
-    return DistanceMatrix(tickers(values.shape[0]), values, kind=kind)
+    return DistanceMatrix(tickers(values.shape[0]), values)
 
 
 def naive_agglomeration(values: np.ndarray):
@@ -126,7 +126,6 @@ class TestCorrDistance:
         assert d.values[0, 1] == 0.0  # rho = 1
         assert d.values[1, 2] == 1.0  # rho = -1
         assert d.values[0, 2] == 0.5  # rho = 0.5 -> sqrt(0.25)
-        assert d.kind == "correlation"
 
     def test_zero_diagonal(self, rng):
         rets = random_returns(rng, 30, 4)
@@ -137,13 +136,12 @@ class TestCorrDistance:
 class TestCodistance:
     def test_identical_columns_are_zero(self):
         values = np.array([[0.0, 0.2, 0.2], [0.2, 0.0, 0.0], [0.2, 0.0, 0.0]])
-        dbar = hrp.codistance(dist(values, kind="correlation"))
+        dbar = hrp.codistance(dist(values))
         assert dbar.values[1, 2] == 0.0
-        assert dbar.kind == "codistance"
 
     def test_two_asset_expansion(self):
         d = 0.37
-        dbar = hrp.codistance(dist([[0.0, d], [d, 0.0]], kind="correlation"))
+        dbar = hrp.codistance(dist([[0.0, d], [d, 0.0]]))
         assert dbar.values[0, 1] == pytest.approx(d * np.sqrt(2), abs=1e-15)
 
     def test_symmetric_zero_diagonal(self, rng):

@@ -29,7 +29,7 @@ def hand_cloud(rows, risk_free: float) -> mvp.FrontierCloud:
     rets = np.array([r[1] for r in rows])
     weights = np.array([r[2] for r in rows], dtype=float)
     sharpes = (rets - risk_free) / vols
-    return mvp.FrontierCloud(vols, rets, sharpes, weights, seed=0, risk_free=risk_free)
+    return mvp.FrontierCloud(vols, rets, sharpes, weights, risk_free=risk_free)
 
 
 def row_tuple(cloud: mvp.FrontierCloud, i: int) -> tuple:
@@ -43,18 +43,19 @@ def row_tuple(cloud: mvp.FrontierCloud, i: int) -> tuple:
 
 class TestEqualWeight:
     def test_ten_assets(self):
-        port = mvp.equal_weight(10)
+        port = mvp.equal_weight(tuple("ABCDEFGHIJ"))
+        assert port.tickers == tuple("ABCDEFGHIJ")
         assert np.all(port.weights == 0.1)
 
     def test_single_asset(self):
-        assert mvp.equal_weight(1).weights.tolist() == [1.0]
+        assert mvp.equal_weight(("A",)).weights.tolist() == [1.0]
 
     def test_four_assets(self):
-        assert np.all(mvp.equal_weight(4).weights == 0.25)
+        assert np.all(mvp.equal_weight(("A", "B", "C", "D")).weights == 0.25)
 
     def test_zero_assets_rejected(self):
         with pytest.raises(ValueError):
-            mvp.equal_weight(0)
+            mvp.equal_weight(())
 
 
 class TestSamplePortfolios:
@@ -127,7 +128,7 @@ class TestFrontierCloudInvariants:
     def test_arrays_are_read_only_copies(self):
         weights = np.array([[0.5, 0.5]])
         cloud = mvp.FrontierCloud(
-            np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, seed=0, risk_free=0.01
+            np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, risk_free=0.01
         )
         weights[0, 0] = 7.0
         assert cloud.weights.tolist() == [[0.5, 0.5]]
@@ -154,7 +155,6 @@ class TestFrontierCloudInvariants:
                 np.array([0.2, 0.3]),
                 np.array([1.9, np.nan]),
                 np.array([[1.0, 0.0], [0.0, 1.0]]),
-                seed=0,
                 risk_free=0.01,
             )
 
@@ -167,25 +167,25 @@ class TestFrontierCloudInvariants:
         with pytest.raises(ValueError, match="volatilities"):
             mvp.FrontierCloud(
                 np.array([vol]), np.array([0.2]), np.array([1.0]), np.array([[1.0]]),
-                seed=0, risk_free=0.01,
+                risk_free=0.01,
             )
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             mvp.FrontierCloud(
                 np.array([0.1, 0.2]), np.array([0.2]), np.array([1.9]), np.array([[1.0]]),
-                seed=0, risk_free=0.01,
+                risk_free=0.01,
             )
         with pytest.raises(ValueError):
             mvp.FrontierCloud(
                 np.array([0.1]), np.array([0.2]), np.array([1.9]), np.array([1.0]),
-                seed=0, risk_free=0.01,
+                risk_free=0.01,
             )
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
             mvp.FrontierCloud(
-                np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2)), seed=0, risk_free=0.01
+                np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2)), risk_free=0.01
             )
 
 

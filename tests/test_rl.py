@@ -23,24 +23,19 @@ from helpers import random_returns
 from oracles import td_target
 from portlab.analytics import ReturnTable, correlation_values
 from portlab.errors import DivergenceError, InsufficientDataError, NonFiniteError
-from portlab.rl import (
+from portlab.rl.agent import EpisodeStats, ReplayBuffer, epsilon_greedy, train
+from portlab.rl.env import (
+    VOL_FLOOR,
     EnvState,
-    EpisodeStats,
     FeatureTable,
-    Hyperparams,
-    ReplayBuffer,
     annualized_sharpe,
     apply_action,
     env_reset,
     env_step,
-    epsilon_greedy,
     hold_action,
-    qnet_forward,
-    qnet_init,
-    train,
 )
-from portlab.rl.env import VOL_FLOOR
-from portlab.rl.network import _forward_batch, _loss_and_grads
+from portlab.rl.network import _forward_batch, _loss_and_grads, qnet_forward, qnet_init
+from portlab.rl.params import Hyperparams
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,17 @@ import pytest
 
 from oracles import read_training_log, tabular_q_check, td_target, two_state_chain
 from portlab.errors import ModelFormatError
-from portlab.rl import (
-    EpisodeStats,
-    Hyperparams,
-    ReplayBatch,
+from portlab.rl.agent import EpisodeStats, ReplayBatch, write_training_log
+from portlab.rl.network import (
+    _forward_batch,
+    _loss_and_grads,
     load_qnetwork,
     qnet_init,
     qnet_train_step,
     save_qnetwork,
     td_targets,
-    write_training_log,
 )
-from portlab.rl.network import _forward_batch, _loss_and_grads
+from portlab.rl.params import Hyperparams
 
 
 def _net(n_assets=3, hidden=(6, 5), seed=4):
@@ -96,7 +95,8 @@ def _save_order(net) -> np.ndarray:
 
 def test_layers_are_views_of_one_flat_parameter_vector(tmp_path):
     net = _net()
-    assert net.params.shape == (net.parameter_count(),)
+    dims = net.layer_dims
+    assert net.params.shape == (sum((i + 1) * o for i, o in zip(dims, dims[1:])),)
     for p in net.weights + net.biases:
         assert np.shares_memory(p, net.params)
     # the flat layout is the save order: each weight matrix, then its bias
