@@ -3,8 +3,14 @@
 Conventions, fixed once so golden values stay stable:
 
 * sample statistics everywhere (variance divisor T-1);
-* annualization by ``trading_days`` (default 252): means scale by the
-  factor itself, volatilities by its square root;
+* annualization by ``trading_days``, which every caller takes from the
+  run config (``RunConfig.trading_days``) and passes down; nothing here
+  has a default for it. Means scale by the factor itself, volatilities by
+  its square root. :func:`annualize` is the one implementation for a daily
+  return stream, shared by the backtest and the agent's reward;
+* a weight vector is on the unit simplex when every weight is >= 0 and it
+  sums to 1 within ``SIMPLEX_TOL``, a NaN failing both;
+  :func:`on_simplex` is the one check, applied row by row;
 * correlation entries involving a (near-)constant column are 0, never NaN,
   with variances floored at ``VARIANCE_FLOOR`` wherever they divide.
 """
@@ -24,8 +30,8 @@ if TYPE_CHECKING:
     from .backtest import WeightSchedule
     from .market_data import PriceTable
 
-TRADING_DAYS = 252
 VARIANCE_FLOOR = 1e-12
+SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,7 @@ def _cleaned_closes(table: PriceTable) -> np.ndarray:
     return table.closes
 
 
-def annual_mean(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> np.ndarray:
+def annual_mean(returns: ReturnTable, trading_days: int) -> np.ndarray:
     """Per-column mean daily return scaled by ``trading_days``.
 
     Raises :class:`NonFiniteError` naming the first asset whose annual
@@ -166,11 +172,11 @@ def annual_mean(returns: ReturnTable, trading_days: int = TRADING_DAYS) -> np.nd
     return values
 
 
-def covariance_values(values: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+def covariance_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Sample covariance (divisor T-1) of the columns of a T x N array.
 
     Raises :class:`NonFiniteError` if an entry overflows float64, naming
-    the first column involved: ``names[j]`` when given, else its index.
+    the first column involved by its entry in ``names``.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] < 2:
@@ -180,14 +186,13 @@ def covariance_values(values: np.ndarray, names: Sequence[str] | None = None) ->
     bad = ~np.isfinite(cov)
     if bad.any():
         col = int(np.argwhere(bad)[0][0])
-        name = f"column {col}" if names is None else names[col]
         raise NonFiniteError(
-            f"sample covariance of {name} over {values.shape[0]} rows overflows float64"
+            f"sample covariance of {names[col]} over {values.shape[0]} rows overflows float64"
         )
     return cov
 
 
-def correlation_values(values: np.ndarray, names: Sequence[str] | None = None) -> np.ndarray:
+def correlation_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Correlation of the columns, with zero-variance columns mapped to 0.
 
     A finite covariance gives finite correlations, so the one finiteness
@@ -211,6 +216,34 @@ def covariance(returns: ReturnTable) -> CovMatrix:
 
 def correlation(returns: ReturnTable) -> CorrMatrix:
     return CorrMatrix(returns.tickers, correlation_values(returns.values, returns.tickers))
+
+
+def annualize(daily: np.ndarray, trading_days: int) -> tuple[float, float]:
+    """Annual return (mean x trading_days) and risk (std x its root) of a daily stream.
+
+    The reductions are the ones ``ndarray.mean()`` and ``ndarray.std(ddof=1)``
+    run, called directly: the same bits at less cost per call. The risk of a
+    single day is 0; an overflow gives inf or NaN, for the caller to report.
+    """
+    n = daily.shape[0]
+    daily_mean = np.add.reduce(daily) / n
+    if n >= 2:
+        dev = daily - daily_mean
+        dev *= dev
+        std = math.sqrt(np.add.reduce(dev) / (n - 1))
+    else:
+        std = 0.0
+    return float(daily_mean) * trading_days, std * math.sqrt(trading_days)
+
+
+def on_simplex(weights: np.ndarray) -> bool:
+    """Whether each row (last axis) is >= 0 and sums to 1 within ``SIMPLEX_TOL``; NaN fails.
+
+    Plain ufunc reductions, since the agent checks a state on every step.
+    """
+    low = np.minimum.reduce(weights, None)
+    deviation = np.maximum.reduce(abs(np.add.reduce(weights, -1) - 1.0), None)
+    return bool(low >= 0.0 and deviation <= SIMPLEX_TOL)
 
 
 def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float) -> float:

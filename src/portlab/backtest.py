@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import TRADING_DAYS, CumulativeCurve, ReturnTable, schedule_returns, sharpe_ratio
+from .analytics import (
+    CumulativeCurve, ReturnTable, annualize, on_simplex, schedule_returns, sharpe_ratio
+)
 from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
 from .mvp import Portfolio
@@ -37,7 +39,7 @@ class WeightSchedule:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 2 or weights.shape[0] != len(self.dates):
             raise ValueError("weights must be one row per date")
-        if np.any(weights < 0) or not np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9:
+        if not on_simplex(weights):
             raise ValueError("every schedule row must lie on the simplex")
         weights.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
@@ -88,22 +90,21 @@ def run_backtest(
     schedule: WeightSchedule,
     returns: ReturnTable,
     risk_free: float,
-    trading_days: int = TRADING_DAYS,
-    method: str = "",
-    phase: str = "test",
-    dataset: str = "default",
+    trading_days: int,
+    method: str,
+    phase: str,
+    dataset: str,
 ) -> BacktestReport:
     """Score a weight schedule on a return table.
 
     Daily portfolio returns and the compounded curve come from
-    :func:`portlab.analytics.schedule_returns`; risk is their sample std
-    annualized by sqrt(trading_days), return their mean annualized by
-    trading_days. Raises :class:`NonFiniteError` if either overflows float64.
+    :func:`portlab.analytics.schedule_returns`, their annual return and
+    risk from :func:`portlab.analytics.annualize`. Raises
+    :class:`NonFiniteError` if either overflows float64.
     """
     daily, curve = schedule_returns(returns, schedule)
     with np.errstate(over="ignore", invalid="ignore"):
-        annual_return = float(daily.mean()) * trading_days
-        annual_risk = float(daily.std(ddof=1)) * math.sqrt(trading_days)
+        annual_return, annual_risk = annualize(daily, trading_days)
     if not (math.isfinite(annual_return) and math.isfinite(annual_risk)):
         raise NonFiniteError(
             f"annual return or risk of {method} over the {phase} dates overflows float64"

@@ -79,7 +79,7 @@ def cmd_rl_train(config: RunConfig) -> None:
     """Train the DQN agent on the train split; save model and episode log."""
     data = _PreparedData(config)
     out = _ensure_out(config)
-    net, log = train(data.train_returns, config.rl)
+    net, log = train(data.train_returns, config.rl, config.trading_days)
     save_qnetwork(net, out / "rl_model.txt")
     write_training_log(log, out / "rl_training_log.csv")
 
@@ -100,7 +100,7 @@ def cmd_rl_eval(config: RunConfig) -> None:
         )
 
     schedule, report = _write_reports(
-        "RL", lambda returns: evaluate(net, returns, config.rl), data, config, out
+        "RL", lambda r: evaluate(net, r, config.rl, config.trading_days), data, config, out
     )
     _write_curve_csv(report.curve, out / "rl_curve.csv")
     _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
@@ -207,9 +207,13 @@ def _load_and_override(config_path: Path, out_flag: Path | None) -> RunConfig:
     seed_env = os.environ.get("PLAB_SEED")
     if seed_env is not None:
         try:
-            config = with_seed(config, int(seed_env))
+            seed = int(seed_env)
         except ValueError:
             raise ConfigError(f"PLAB_SEED must be an integer, got {seed_env!r}") from None
+        try:
+            config = with_seed(config, seed)
+        except ValueError as exc:
+            raise ConfigError(f"PLAB_SEED: {exc}") from None
     out_env = os.environ.get("PLAB_OUT")
     if out_env is not None:
         config = with_out_dir(config, Path(out_env))

@@ -39,6 +39,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not math.isfinite(self.risk_free):
             raise ValueError("risk_free must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
@@ -104,11 +106,17 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: missing required key {name!r}")
 
     rl.setdefault("seed", top.get("seed", RunConfig.seed))
+    # top-level values first, so that a bad seed is reported as ``seed``
+    # even where ``rl.seed`` inherits it
     try:
-        hp = Hyperparams(**rl)
-        return RunConfig(rl=hp, **top)
+        config = RunConfig(**top)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    try:
+        return replace(config, rl=Hyperparams(**rl))
+    except ValueError as exc:
+        # Hyperparams messages start with the field name; the key has the prefix
+        raise ConfigError(f"{path}: rl.{exc}") from None
 
 
 def with_seed(config: RunConfig, seed: int) -> RunConfig:

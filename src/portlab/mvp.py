@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import TRADING_DAYS, CovMatrix
+from .analytics import CovMatrix, on_simplex
 from .errors import NonFiniteError, UndefinedSharpeError
 from .floatcsv import write_float_csv
 
@@ -38,12 +38,8 @@ class Portfolio:
         weights = np.array(self.weights, dtype=float)
         if weights.shape != (len(self.tickers),):
             raise ValueError("weights must align with tickers")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative (long-only)")
-        if not abs(float(weights.sum()) - 1.0) <= 1e-9:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+        if not on_simplex(weights):
+            raise ValueError(f"weights must be >= 0 and sum to 1, got sum {float(weights.sum())!r}")
         weights.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "weights", weights)
@@ -77,19 +73,13 @@ class FrontierCloud:
             raise ValueError("returns and sharpes must have one entry per volatility")
         if self.weights.ndim != 2 or self.weights.shape[0] != count or not self.weights.size:
             raise ValueError("weights must be a (count, n) array with n >= 1")
-        # written as not (x <= tol) so that NaN fails every check
-        simplex_err = np.max(np.abs(self.weights.sum(axis=1) - 1.0))
-        if np.any(self.weights < 0) or not simplex_err <= 1e-9:
+        if not on_simplex(self.weights):
             raise ValueError("every sampled weight vector must lie on the simplex")
         if not np.all(self.volatilities > 0):
             raise ValueError("volatilities must be positive")
         implied = (self.returns - self.risk_free) / self.volatilities
         if not np.max(np.abs(self.sharpes - implied)) <= 1e-9:
             raise ValueError("stored Sharpe values inconsistent with return/volatility")
-
-    @property
-    def sample_count(self) -> int:
-        return self.volatilities.shape[0]
 
 
 def equal_weight(tickers: Sequence[str]) -> Portfolio:
@@ -101,11 +91,11 @@ def equal_weight(tickers: Sequence[str]) -> Portfolio:
 
 def sample_portfolios(
     mu: np.ndarray,
-    cov: CovMatrix | np.ndarray,
+    cov: CovMatrix,
     count: int,
     risk_free: float,
     seed: int,
-    trading_days: int = TRADING_DAYS,
+    trading_days: int,
 ) -> FrontierCloud:
     """Draw ``count`` random long-only portfolios and score each one.
 
@@ -119,7 +109,7 @@ def sample_portfolios(
     if count < 1:
         raise ValueError("count must be >= 1")
     mu = np.asarray(mu, dtype=float)
-    sigma = cov.values if isinstance(cov, CovMatrix) else np.asarray(cov, dtype=float)
+    sigma = cov.values
     n = mu.shape[0]
     if sigma.shape != (n, n):
         raise ValueError("mu and covariance dimensions do not match")

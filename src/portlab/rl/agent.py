@@ -117,9 +117,11 @@ class EpisodeStats:
 
 
 def train(
-    returns_train: ReturnTable, hp: Hyperparams
+    returns_train: ReturnTable, hp: Hyperparams, trading_days: int
 ) -> tuple[QNetwork, list[EpisodeStats]]:
     """Run the replay-trained DQN loop over the training returns.
+
+    Rewards are annualized by ``trading_days``, the run config's value.
 
     Per episode: reset, act epsilon-greedily until done, push transitions,
     and once the buffer holds a batch do one gradient step per environment
@@ -132,7 +134,7 @@ def train(
     """
     table = FeatureTable(returns_train, hp)
     rng = np.random.default_rng(hp.seed)
-    net = qnet_init(returns_train.n_assets, hp, rng=rng)
+    net = qnet_init(returns_train.n_assets, hp, rng)
     buffer = ReplayBuffer(hp.replay_capacity, net.n_inputs)
     eps = hp.eps_start
     log: list[EpisodeStats] = []
@@ -150,16 +152,14 @@ def train(
             done = False
             while not done:
                 action = epsilon_greedy(qnet_forward(net, features), eps, rng)
-                next_state, reward, done = env_step(state, action, table, hp)
+                next_state, reward, done = env_step(state, action, table, hp, trading_days)
                 next_features = state_features(next_state, table)
                 buffer.push(features, action, reward, next_features, done)
                 cum_reward += reward
                 if len(buffer) >= hp.batch_size:
                     batch = buffer.sample(rng, hp.batch_size)
                     targets = td_targets(batch, net, hp.discount)
-                    loss = qnet_train_step(
-                        net, batch, targets, hp.learning_rate, step=global_step
-                    )
+                    loss = qnet_train_step(net, batch, targets, hp.learning_rate, global_step)
                     losses.append(loss)
                 state, features = next_state, next_features
                 global_step += 1
@@ -170,7 +170,9 @@ def train(
     return net, log
 
 
-def evaluate(net: QNetwork, returns_test: ReturnTable, hp: Hyperparams) -> WeightSchedule:
+def evaluate(
+    net: QNetwork, returns_test: ReturnTable, hp: Hyperparams, trading_days: int
+) -> WeightSchedule:
     """Roll the greedy policy over the test table.
 
     The emitted schedule covers every test date: equal weights during the
@@ -186,7 +188,7 @@ def evaluate(net: QNetwork, returns_test: ReturnTable, hp: Hyperparams) -> Weigh
     done = False
     while not done:
         action = int(np.argmax(qnet_forward(net, state_features(state, table))))
-        next_state, _, done = env_step(state, action, table, hp)
+        next_state, _, done = env_step(state, action, table, hp, trading_days)
         weights[state.t : next_state.t] = next_state.weights
         state = next_state
     weights[state.t :] = state.weights

@@ -4,8 +4,10 @@ The state couples the upper triangle of the rolling-window return
 correlation matrix with the current portfolio weights; the Markov
 property needs the weights since actions adjust them. Actions nudge one
 asset's weight by ``step_delta`` (buy/sell) or leave it alone (hold);
-the reward is the annualized Sharpe ratio (risk-free 0) of the portfolio
-over the days the adjusted weights were held.
+the reward is the Sharpe ratio (risk-free 0) of the portfolio over the
+days the adjusted weights were held, annualized by the run's
+``trading_days``, which the caller passes to :func:`env_step`; the
+environment reads no config.
 
 A rollout visits ``t = window, window + rebalance_period, ...`` whatever
 actions it takes, so the correlation features depend only on ``t``. A
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analytics import TRADING_DAYS, ReturnTable, correlation_values
+from ..analytics import ReturnTable, annualize, correlation_values, on_simplex
 from ..errors import InsufficientDataError, NonFiniteError
 from .params import Hyperparams
 
@@ -56,11 +58,7 @@ class EnvState:
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
-        # two reductions, written so that NaN fails
-        if not (
-            np.minimum.reduce(weights) >= 0.0
-            and abs(float(np.add.reduce(weights)) - 1.0) <= 1e-9
-        ):
+        if not on_simplex(weights):
             raise ValueError("weights must lie on the simplex")
         object.__setattr__(self, "weights", weights)
 
@@ -141,12 +139,13 @@ def env_step(
     action: int,
     table: FeatureTable,
     hp: Hyperparams,
+    trading_days: int,
 ) -> tuple[EnvState, float, bool]:
     """Apply an action, hold the weights for ``rebalance_period`` days, score them.
 
-    Returns the next state (time advanced), the annualized Sharpe reward
-    over the held days, and whether fewer than ``rebalance_period`` days
-    remain afterwards.
+    Returns the next state (time advanced), the Sharpe reward over the
+    held days annualized by ``trading_days``, and whether fewer than
+    ``rebalance_period`` days remain afterwards.
     """
     returns = table.returns
     t = state.t
@@ -157,7 +156,7 @@ def env_step(
     weights = apply_action(state.weights, action, hp.step_delta)
     t_next = t + hp.rebalance_period
     next_state = EnvState(weights, t_next)
-    reward = annualized_sharpe(returns.values[t:t_next] @ weights)
+    reward = annualized_sharpe(returns.values[t:t_next] @ weights, trading_days)
     if not math.isfinite(reward):
         raise NonFiniteError(
             f"reward over {returns.dates[t]} to {returns.dates[t_next - 1]} is not finite"
@@ -166,28 +165,15 @@ def env_step(
     return next_state, reward, done
 
 
-def annualized_sharpe(
-    daily_returns: np.ndarray, trading_days: int = TRADING_DAYS
-) -> float:
-    """Mean/std Sharpe of a daily return stream, annualized, risk-free 0.
+def annualized_sharpe(daily_returns: np.ndarray, trading_days: int) -> float:
+    """Annual return over annual risk of a daily return stream, risk-free 0.
 
-    The annualized volatility is floored at VOL_FLOOR so the value stays
-    finite on degenerate (constant or single-day) windows; a volatility
-    that overflows float64 gives NaN. The reductions are the ones
-    ``ndarray.mean()`` and ``ndarray.std(ddof=1)`` run, called directly,
-    so the value is the same to the bit.
+    Both come from :func:`portlab.analytics.annualize`. The risk is
+    floored at VOL_FLOOR so the value stays finite on degenerate (constant
+    or single-day) windows; a risk that overflows float64 gives NaN.
     """
-    daily = np.asarray(daily_returns, dtype=float)
-    n = daily.shape[0]
-    daily_mean = np.add.reduce(daily) / n
-    mean = float(daily_mean) * trading_days
-    if n >= 2:
-        dev = daily - daily_mean
-        dev *= dev
-        std = math.sqrt(np.add.reduce(dev) / (n - 1))
-    else:
-        std = 0.0
-    vol = max(std * math.sqrt(trading_days), VOL_FLOOR)
+    annual_return, annual_risk = annualize(daily_returns, trading_days)
+    vol = max(annual_risk, VOL_FLOOR)
     if vol == math.inf:
         return math.nan
-    return mean / vol
+    return annual_return / vol

@@ -85,12 +85,8 @@ def _layer_views(
     return weights, biases
 
 
-def qnet_init(
-    n_assets: int, hp: Hyperparams, rng: np.random.Generator | None = None
-) -> QNetwork:
-    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))), zero biases, seeded."""
-    if rng is None:
-        rng = np.random.default_rng(hp.seed)
+def qnet_init(n_assets: int, hp: Hyperparams, rng: np.random.Generator) -> QNetwork:
+    """Glorot-uniform weights (+-sqrt(6/(fan_in+fan_out))) drawn from ``rng``, zero biases."""
     dims = (feature_dim(n_assets), *hp.hidden_dims, num_actions(n_assets))
     layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -143,32 +139,23 @@ def qnet_train_step(
     batch: ReplayBatch,
     targets: np.ndarray,
     learning_rate: float,
-    step: int | None = None,
+    step: int,
 ) -> float:
     """One gradient-descent update toward the targets; returns the pre-update loss.
 
     Reads the batch's ``states`` and ``actions`` arrays; ``targets`` has
-    one entry per batch row.
+    one entry per batch row. ``step`` numbers the update in the error
+    raised for a non-finite loss.
     """
     loss = _backprop(
         net, batch.states, batch.actions, np.asarray(targets, float), net._grad_w, net._grad_b
     )
     if not math.isfinite(loss):
-        where = "" if step is None else f" at step {step}"
-        raise DivergenceError(f"non-finite training loss{where}")
+        raise DivergenceError(f"non-finite training loss at step {step}")
     grad = net._grad
     grad *= learning_rate
     net.params -= grad
     return loss
-
-
-def _loss_and_grads(
-    net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error on the taken actions' Q-values, with fresh per-layer gradients."""
-    grad_w, grad_b = _layer_views(np.empty_like(net.params), net.layer_dims)
-    loss = _backprop(net, x, actions, targets, grad_w, grad_b)
-    return loss, grad_w, grad_b
 
 
 def _backprop(

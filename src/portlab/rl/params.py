@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -11,6 +12,7 @@ class Hyperparams:
 
     ``step_delta`` is the weight fraction a buy/sell action moves before
     renormalization; ``eps_decay`` applies multiplicatively once per episode.
+    Every error message starts with the field it names.
     """
 
     window: int = 60
@@ -36,8 +38,9 @@ class Hyperparams:
             raise ValueError("batch_size must be >= 1")
         if self.rebalance_period < 1:
             raise ValueError("rebalance_period must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # written as not (0 < x < inf) so that NaN fails
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
         for name in ("eps_start", "eps_min", "eps_decay"):
@@ -47,7 +50,14 @@ class Hyperparams:
         if not 0.0 < self.step_delta < 1.0:
             raise ValueError("step_delta must be in (0, 1)")
         if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
+            raise ValueError("hidden_dims widths must be >= 1")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
+        if self.batch_size > self.replay_capacity:
+            # the buffer would never hold a batch, so no gradient step would run
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds replay_capacity {self.replay_capacity}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from portlab.analytics import ReturnTable
+from portlab.analytics import CovMatrix, ReturnTable
 from portlab.hrp import LinkageTree, MergeRecord
 from portlab.market_data import PriceTable
 
@@ -49,6 +49,11 @@ def random_cov(rng: np.random.Generator, n: int, n_rows: int = 40) -> np.ndarray
     """Sample covariance of random data: PSD by construction."""
     data = rng.normal(0, 0.01, size=(n_rows, n)) * rng.uniform(0.5, 2.0, size=n)
     return np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
+
+
+def cov_matrix(values) -> CovMatrix:
+    """A bare covariance array as the checked :class:`CovMatrix`, tickers ``T0..``."""
+    return CovMatrix(tuple(f"T{i}" for i in range(len(values))), values)
 
 
 def read_frontier_csv(path: str | Path) -> np.ndarray:

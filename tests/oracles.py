@@ -5,6 +5,9 @@
   minimum-risk portfolio of :mod:`portlab.mvp` is checked against;
 * :func:`td_target`, the scalar Bellman backup that
   :func:`portlab.rl.network.td_targets` vectorizes;
+* :func:`loss_and_grads`, the network's loss and per-layer gradients in
+  fresh arrays, which the finite-difference check and the reference
+  training loop read;
 * a tabular Q-learning check: the same backup applied to a lookup table
   on a tiny solvable MDP must converge to the value-iteration fixed point;
 * :func:`read_training_log`, the inverse of
@@ -21,6 +24,7 @@ import numpy as np
 
 from portlab.analytics import CovMatrix
 from portlab.rl.agent import EpisodeStats
+from portlab.rl.network import QNetwork, _backprop, _layer_views
 
 
 class SingularMatrixError(Exception):
@@ -101,6 +105,15 @@ def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> 
     if done:
         return float(reward)
     return float(reward + discount * max_next_q)
+
+
+def loss_and_grads(
+    net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """Mean squared error on the taken actions' Q-values, with fresh per-layer gradients."""
+    grad_w, grad_b = _layer_views(np.empty_like(net.params), net.layer_dims)
+    loss = _backprop(net, x, actions, targets, grad_w, grad_b)
+    return loss, grad_w, grad_b
 
 
 @dataclass(frozen=True)

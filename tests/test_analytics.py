@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_returns, make_table, weekdays
 from portlab import analytics
@@ -40,7 +41,7 @@ class TestReturns:
 class TestAnnualMean:
     def test_annualization_factor(self):
         rets = make_returns([[0.011, 0.0], [-0.009, 0.0], [0.03, 0.01]])
-        assert np.array_equal(analytics.annual_mean(rets), rets.values.mean(axis=0) * 252)
+        assert np.array_equal(analytics.annual_mean(rets, 252), rets.values.mean(axis=0) * 252)
 
     def test_configurable_trading_days(self):
         rets = make_returns([[0.01, 0.0], [-0.01, 0.02], [0.0, 0.01]])
@@ -51,14 +52,14 @@ class TestAnnualMean:
     def test_insufficient_rows(self):
         rets = make_returns(np.empty((0, 2)))
         with pytest.raises(InsufficientDataError):
-            analytics.annual_mean(rets)
+            analytics.annual_mean(rets, 252)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_mean_names_the_asset(self):
         # both returns are 2**1017: finite, and so is their (zero) variance
         rets = make_returns([[0.01, 2.0**1017], [0.02, 2.0**1017]], tickers=("A", "B"))
         with pytest.raises(NonFiniteError, match="annual mean return of B overflows"):
-            analytics.annual_mean(rets)
+            analytics.annual_mean(rets, 252)
 
 
 class TestCovarianceCorrelation:
@@ -109,8 +110,8 @@ class TestCovarianceCorrelation:
     def test_overflowing_covariance_names_the_column(self):
         # squares of 1e300 overflow float64 although every return is finite
         values = np.array([[0.01, 1e300], [0.02, -1.0], [0.0, 1e300]])
-        with pytest.raises(NonFiniteError, match="column 1 over 3 rows"):
-            analytics.covariance_values(values)
+        with pytest.raises(NonFiniteError, match="of B over 3 rows"):
+            analytics.covariance_values(values, ("A", "B"))
         with pytest.raises(NonFiniteError, match="of B over 3 rows"):
             analytics.correlation_values(values, ("A", "B"))
         rets = make_returns(values, tickers=("A", "B"))
@@ -124,9 +125,77 @@ class TestCovarianceCorrelation:
         values = rng.normal(0, 0.02, size=(30, 4))
         std = values.std(axis=0, ddof=1)
         standardized = (values - values.mean(axis=0)) / std
-        cov_std = analytics.covariance_values(standardized)
-        corr = analytics.correlation_values(values)
+        names = ("A", "B", "C", "D")
+        cov_std = analytics.covariance_values(standardized, names)
+        corr = analytics.correlation_values(values, names)
         assert np.max(np.abs(cov_std - corr)) < 1e-10
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_short_streams = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12).map(np.array)
+_long_streams = st.tuples(st.integers(13, 4000), st.integers(0, 2**32 - 1)).map(
+    lambda drawn: np.random.default_rng(drawn[1]).uniform(-1.0, 1.0, drawn[0])
+)
+
+
+class TestAnnualize:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_short_streams, _long_streams),
+        st.integers(-8, 3),
+        st.sampled_from([252, 365]),
+    )
+    def test_equals_ndarray_methods_bit_for_bit(self, unit, exponent, trading_days):
+        daily = unit * 10.0**exponent
+        annual_return, annual_risk = analytics.annualize(daily, trading_days)
+        assert _bits(annual_return) == _bits(float(daily.mean()) * trading_days)
+        if daily.shape[0] >= 2:
+            want_risk = float(daily.std(ddof=1)) * math.sqrt(trading_days)
+        else:
+            want_risk = 0.0
+        assert _bits(annual_risk) == _bits(want_risk)
+
+    def test_single_day_has_zero_risk(self):
+        assert analytics.annualize(np.array([0.01]), 252) == (0.01 * 252, 0.0)
+
+
+class TestOnSimplex:
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.25, 0.75], [-0.0, 1.0], [1.0], [[0.5, 0.5], [0.2, 0.8]], [0.5, 0.5 + 5e-10]],
+        ids=["row", "negative-zero", "single", "2-d", "sum-within-tolerance"],
+    )
+    def test_accepts(self, weights):
+        assert analytics.on_simplex(np.array(weights))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [0.5, 0.6],
+            [1.5, -0.5],
+            [math.nan, 1.0],
+            [[0.5, 0.5], [0.5, 0.6]],
+            [[0.5, 0.5], [math.nan, 1.0]],
+            [0.5, 0.5 + 2e-9],
+            [0.5, 0.5 - 2e-9],
+            [math.inf, 1.0],
+        ],
+        ids=[
+            "sum-1.1",
+            "negative",
+            "nan",
+            "2-d-second-row-off",
+            "2-d-nan",
+            "sum-off-by-2e-9",
+            "sum-short-by-2e-9",
+            "inf",
+        ],
+    )
+    def test_rejects(self, weights):
+        assert not analytics.on_simplex(np.array(weights))
 
 
 class TestSharpe:

@@ -57,4 +57,4 @@ def test_overflowing_risk_raises_non_finite_error():
     returns = make_returns([[1e200], [-1.0], [1e200]])
     schedule = static_schedule(equal_weight(returns.tickers), returns.dates)
     with pytest.raises(NonFiniteError, match="annual return or risk of MVP"):
-        run_backtest(schedule, returns, 0.01, method="MVP")
+        run_backtest(schedule, returns, 0.01, 252, method="MVP", phase="test", dataset="d")

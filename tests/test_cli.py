@@ -3,7 +3,8 @@
 Bad input (a malformed saved model or report, an out-of-range config
 value, a file that is not UTF-8, prices whose returns or statistics
 overflow) gives exit 1 and one ``error:`` line; a full pipeline run writes
-the same bytes every time; the bundled fixture regenerates byte for byte.
+the same bytes every time; the configured ``trading_days`` reaches the
+agent's reward; the bundled fixture regenerates byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import weekdays
+from oracles import read_training_log
 from portlab import backtest, cli, synthetic
 from portlab.analytics import CumulativeCurve
 from portlab.market_data import PriceTable, write_prices
@@ -49,7 +51,8 @@ def run_dir(tmp_path, fixture_csv):
 
 def _saved_model_lines(n_assets: int, out) -> list[str]:
     path = out / "rl_model.txt"
-    save_qnetwork(qnet_init(n_assets, Hyperparams(hidden_dims=(8,))), path)
+    net = qnet_init(n_assets, Hyperparams(hidden_dims=(8,)), np.random.default_rng(0))
+    save_qnetwork(net, path)
     return path.read_text(encoding="utf-8").splitlines()
 
 
@@ -197,6 +200,62 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "lines", "seed_env", "message"),
+    [
+        ("mvp", "seed = -1\n", None, ": seed must be >= 0, got -1"),
+        ("rl-train", "rl.seed = -1\n", None, ": rl.seed must be >= 0, got -1"),
+        ("mvp", "", "-1", "PLAB_SEED: seed must be >= 0, got -1"),
+        ("mvp", "", "x1", "PLAB_SEED must be an integer, got 'x1'"),
+        ("rl-train", "rl.learning_rate = nan\n", None, "rl.learning_rate must be finite"),
+        ("rl-train", "rl.learning_rate = inf\n", None, "rl.learning_rate must be finite"),
+        (
+            "rl-train",
+            "rl.batch_size = 64\nrl.replay_capacity = 40\n",
+            None,
+            "rl.batch_size 64 exceeds replay_capacity 40",
+        ),
+    ],
+    ids=[
+        "negative-seed",
+        "negative-rl-seed",
+        "negative-PLAB_SEED",
+        "non-integer-PLAB_SEED",
+        "nan-learning-rate",
+        "inf-learning-rate",
+        "batch-above-capacity",
+    ],
+)
+def test_bad_config_value_gives_one_line_error(
+    tmp_path, fixture_csv, capsys, monkeypatch, command, lines, seed_env, message
+):
+    if seed_env is not None:
+        monkeypatch.setenv("PLAB_SEED", seed_env)
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, lines)
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+
+
+def test_rl_train_reward_is_annualized_by_the_configured_trading_days(tmp_path, fixture_csv):
+    models, logs = {}, {}
+    for days in (252, 365):
+        config = tmp_path / f"run{days}.cfg"
+        _write_config(config, fixture_csv, f"trading_days = {days}\nrl.episodes = 1\n")
+        out = tmp_path / str(days)
+        assert cli.main(["rl-train", "--config", str(config), "--out", str(out)]) == 0
+        models[days] = (out / "rl_model.txt").read_bytes()
+        logs[days] = read_training_log(out / "rl_training_log.csv")
+    assert models[365] != models[252]
+    # episode 0 explores with eps_start = 1.0, so both runs take the same
+    # actions and each reward scales by sqrt(T): T / sqrt(T)
+    ratio = logs[365][0].cum_reward / logs[252][0].cum_reward
+    assert ratio == pytest.approx(math.sqrt(365 / 252), rel=1e-12, abs=0)
+
+
 def _extreme_prices(path, low: float, high: float, columns: int) -> None:
     """700 weekdays of fixture-like prices; the first ``columns`` alternate low/high."""
     table = synthetic.drift_price_table(n_assets=4, n_days=700, start=date(2018, 1, 1))
@@ -224,7 +283,8 @@ def test_non_finite_returns_give_one_line_error(
     _write_config(config, prices, "mc_samples = 100\nrl.hidden_dims = 8\n")
     out = tmp_path / "out"
     out.mkdir()
-    save_qnetwork(qnet_init(4, Hyperparams(hidden_dims=(8,))), out / "rl_model.txt")
+    net = qnet_init(4, Hyperparams(hidden_dims=(8,)), np.random.default_rng(0))
+    save_qnetwork(net, out / "rl_model.txt")
     code = cli.main([command, "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err.splitlines()
     assert code == 1
@@ -347,10 +407,12 @@ def _reject_constant(name: str):
     raise ValueError(f"JSON output holds {name}")
 
 
-@settings(max_examples=20, deadline=None)
-@given(_small_price_tables(), st.sampled_from([0.0, 0.01, 1e308]))
-def test_every_command_exits_cleanly_on_small_tables(case, risk_free):
-    table, n_train = case
+def _assert_every_command_exits_cleanly(table: PriceTable, n_train: int, extra: str) -> None:
+    """Run all five commands; each must exit 0 silently or 1 with one ``error:`` line.
+
+    The config is small (50 samples, one episode of a 4-row window) plus
+    the lines ``extra``; every JSON output must hold no NaN or infinity.
+    """
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
         tmp = Path(tmp)
@@ -359,10 +421,9 @@ def test_every_command_exits_cleanly_on_small_tables(case, risk_free):
             f"data = {tmp / 'prices.csv'}\n"
             f"train_end = {table.dates[n_train - 1]}\n"
             f"test_start = {table.dates[n_train]}\n"
-            f"risk_free = {risk_free!r}\n"
             "mc_samples = 50\nfrontier_bins = 5\n"
             "rl.window = 4\nrl.rebalance_period = 2\nrl.episodes = 1\n"
-            "rl.batch_size = 2\nrl.hidden_dims = 4\n",
+            "rl.hidden_dims = 4\n" + extra,
             encoding="utf-8",
         )
         for command in cli._COMMANDS:
@@ -377,3 +438,34 @@ def test_every_command_exits_cleanly_on_small_tables(case, risk_free):
                 assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
         for path in tmp.glob("*.json"):
             json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_small_price_tables(), st.sampled_from([0.0, 0.01, 1e308]))
+def test_every_command_exits_cleanly_on_small_tables(case, risk_free):
+    table, n_train = case
+    _assert_every_command_exits_cleanly(
+        table, n_train, f"risk_free = {risk_free!r}\nrl.batch_size = 2\n"
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["seed", "rl.seed"]),
+    st.sampled_from([-1, 0, 3, 2**63 + 1]),
+    st.sampled_from(["nan", "inf", "1e308", "0.001"]),
+    st.integers(1, 4),
+    st.sampled_from([-1, 0, 1]),
+)
+def test_every_command_exits_cleanly_on_drawn_config_values(
+    seed_key, seed, learning_rate, capacity, batch_offset
+):
+    # batch sizes on both sides of the replay capacity, down to 1
+    batch_size = max(1, capacity + batch_offset)
+    table = synthetic.drift_price_table(n_assets=3, n_days=24)
+    _assert_every_command_exits_cleanly(
+        table,
+        12,
+        f"{seed_key} = {seed}\nrl.learning_rate = {learning_rate}\n"
+        f"rl.batch_size = {batch_size}\nrl.replay_capacity = {capacity}\n",
+    )

@@ -141,3 +141,30 @@ def test_missing_required_key_is_named(tmp_path, key):
 def test_bad_date_names_the_line_and_key(tmp_path):
     with pytest.raises(ConfigError, match=r":2: bad value '2019-13-01' for key 'train_end'"):
         _load(tmp_path, REQUIRED.replace("2019-05-03", "2019-13-01"))
+
+
+@pytest.mark.parametrize(
+    ("extra", "message"),
+    [
+        ("seed = -1\n", ": seed must be >= 0, got -1"),
+        ("rl.seed = -1\n", ": rl.seed must be >= 0, got -1"),
+        ("rl.learning_rate = nan\n", ": rl.learning_rate must be finite and > 0, got nan"),
+        ("rl.learning_rate = inf\n", ": rl.learning_rate must be finite and > 0, got inf"),
+        ("rl.learning_rate = 0\n", ": rl.learning_rate must be finite and > 0, got 0.0"),
+        (
+            "rl.batch_size = 64\nrl.replay_capacity = 40\n",
+            ": rl.batch_size 64 exceeds replay_capacity 40",
+        ),
+    ],
+    ids=["seed", "rl-seed", "nan-learning-rate", "inf-learning-rate", "zero-learning-rate",
+         "batch-above-capacity"],
+)
+def test_out_of_range_value_names_its_key(tmp_path, extra, message):
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, REQUIRED + extra)
+    assert str(info.value) == str(tmp_path / "run.cfg") + message
+
+
+def test_with_seed_rejects_a_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with_seed(_load(tmp_path, REQUIRED), -1)

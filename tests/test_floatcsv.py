@@ -15,7 +15,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import weekdays
+from helpers import cov_matrix, weekdays
 from portlab import cli, floatcsv, mvp
 from portlab.backtest import WeightSchedule
 from portlab.rl.agent import EpisodeStats, write_training_log
@@ -29,7 +29,7 @@ def reference_frontier_csv(cloud: mvp.FrontierCloud, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)])
-        for i in range(cloud.sample_count):
+        for i in range(cloud.volatilities.shape[0]):
             writer.writerow([repr(float(v)) for v in _row_cells(cloud, i)])
 
 
@@ -83,7 +83,7 @@ def seeded_cloud(count: int = 2500) -> mvp.FrontierCloud:
     data = rng.normal(0, 0.01, size=(120, 6))
     sigma = np.cov(data, rowvar=False, ddof=1)
     mu = rng.uniform(-0.1, 0.3, size=6)
-    return mvp.sample_portfolios(mu, sigma, count, 0.013, seed=17)
+    return mvp.sample_portfolios(mu, cov_matrix(sigma), count, 0.013, 17, 252)
 
 
 @pytest.mark.parametrize("make", [seeded_cloud, awkward_cloud], ids=["seeded", "awkward"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_cov, read_frontier_csv
+from helpers import cov_matrix, random_cov, read_frontier_csv
 from oracles import SingularMatrixError, closed_form_min_variance
 from portlab import mvp
 from portlab.errors import NonFiniteError
@@ -17,6 +17,11 @@ def synthetic_ten_asset_case():
     sigma = np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
     mu = rng.uniform(0.05, 0.25, size=10)
     return mu, sigma
+
+
+def sample_cloud(mu, sigma, count: int, risk_free: float, seed: int) -> mvp.FrontierCloud:
+    """``mvp.sample_portfolios`` on a bare covariance array, annualized by 252 days."""
+    return mvp.sample_portfolios(mu, cov_matrix(sigma), count, risk_free, seed, 252)
 
 
 def annual_vol(weights: np.ndarray, sigma: np.ndarray, trading_days: int = 252) -> float:
@@ -61,27 +66,27 @@ class TestEqualWeight:
 class TestSamplePortfolios:
     def test_count_and_seeded_determinism(self):
         mu, sigma = synthetic_ten_asset_case()
-        a = mvp.sample_portfolios(mu, sigma, 500, 0.01, seed=3)
-        b = mvp.sample_portfolios(mu, sigma, 500, 0.01, seed=3)
-        assert a.sample_count == a.weights.shape[0] == 500
+        a = sample_cloud(mu, sigma, 500, 0.01, seed=3)
+        b = sample_cloud(mu, sigma, 500, 0.01, seed=3)
+        assert a.volatilities.shape[0] == a.weights.shape[0] == 500
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.volatilities, b.volatilities)
 
     def test_different_seed_differs(self):
         mu, sigma = synthetic_ten_asset_case()
-        a = mvp.sample_portfolios(mu, sigma, 100, 0.01, seed=3)
-        b = mvp.sample_portfolios(mu, sigma, 100, 0.01, seed=4)
+        a = sample_cloud(mu, sigma, 100, 0.01, seed=3)
+        b = sample_cloud(mu, sigma, 100, 0.01, seed=4)
         assert not np.array_equal(a.volatilities, b.volatilities)
 
     def test_prefix_stability_across_counts(self):
         # chunked sampling: a shorter cloud is a prefix of a longer one
         mu, sigma = synthetic_ten_asset_case()
-        small = mvp.sample_portfolios(mu, sigma, 700, 0.01, seed=9)
-        large = mvp.sample_portfolios(mu, sigma, 1500, 0.01, seed=9)
+        small = sample_cloud(mu, sigma, 700, 0.01, seed=9)
+        large = sample_cloud(mu, sigma, 1500, 0.01, seed=9)
         assert np.array_equal(small.volatilities, large.volatilities[:700])
 
     def test_single_asset_degenerate(self):
-        cloud = mvp.sample_portfolios(
+        cloud = sample_cloud(
             np.array([0.1]), np.array([[1e-4]]), 50, 0.01, seed=1
         )
         assert np.all(cloud.weights == 1.0)
@@ -94,7 +99,7 @@ class TestSamplePortfolios:
         n = int(rng.integers(2, 8))
         sigma = random_cov(rng, n)
         mu = rng.uniform(0.0, 0.3, size=n)
-        cloud = mvp.sample_portfolios(mu, sigma, 64, 0.01, seed=seed)
+        cloud = sample_cloud(mu, sigma, 64, 0.01, seed=seed)
         assert np.all(cloud.weights >= 0)
         assert np.max(np.abs(cloud.weights.sum(axis=1) - 1.0)) < 1e-9
 
@@ -105,7 +110,7 @@ class TestSamplePortfolios:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 11))
         sigma = random_cov(rng, n)
-        cloud = mvp.sample_portfolios(rng.uniform(0.0, 0.3, size=n), sigma, 64, 0.01, seed=seed)
+        cloud = sample_cloud(rng.uniform(0.0, 0.3, size=n), sigma, 64, 0.01, seed=seed)
         for weights, vol in zip(cloud.weights, cloud.volatilities):
             assert vol == pytest.approx(annual_vol(weights, sigma), rel=1e-12, abs=0)
 
@@ -116,12 +121,12 @@ class TestSamplePortfolios:
     def test_overflow_raises_non_finite_error(self, daily_var, risk_free):
         sigma = np.eye(2) * daily_var
         with pytest.raises(NonFiniteError, match="overflows float64"):
-            mvp.sample_portfolios(np.array([0.1, 0.1]), sigma, 10, risk_free, seed=1)
+            sample_cloud(np.array([0.1, 0.1]), sigma, 10, risk_free, seed=1)
 
     def test_count_must_be_positive(self):
         mu, sigma = synthetic_ten_asset_case()
         with pytest.raises(ValueError):
-            mvp.sample_portfolios(mu, sigma, 0, 0.01, seed=1)
+            sample_cloud(mu, sigma, 0, 0.01, seed=1)
 
 
 class TestFrontierCloudInvariants:
@@ -132,7 +137,6 @@ class TestFrontierCloudInvariants:
         )
         weights[0, 0] = 7.0
         assert cloud.weights.tolist() == [[0.5, 0.5]]
-        assert cloud.sample_count == 1
         for values in (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights):
             assert not values.flags.writeable
 
@@ -211,7 +215,7 @@ class TestMinRiskAndMaxSharpe:
 
     def test_two_asset_equal_variance_optimum_is_half_half(self):
         sigma = np.diag([1e-4, 1e-4])
-        cloud = mvp.sample_portfolios(
+        cloud = sample_cloud(
             np.array([0.1, 0.1]), sigma, 10_000, 0.01, seed=11
         )
         best = mvp.min_risk_row(cloud)
@@ -219,13 +223,13 @@ class TestMinRiskAndMaxSharpe:
 
     def test_argmax_contract(self):
         mu, sigma = synthetic_ten_asset_case()
-        cloud = mvp.sample_portfolios(mu, sigma, 2000, 0.01, seed=5)
+        cloud = sample_cloud(mu, sigma, 2000, 0.01, seed=5)
         best = mvp.max_sharpe_row(cloud)
         assert cloud.sharpes[best] >= cloud.sharpes.max()
 
     def test_sharpe_invariant_as_stored(self):
         mu, sigma = synthetic_ten_asset_case()
-        cloud = mvp.sample_portfolios(mu, sigma, 500, 0.013, seed=5)
+        cloud = sample_cloud(mu, sigma, 500, 0.013, seed=5)
         vol, ret, sharpe, _ = row_tuple(cloud, mvp.max_sharpe_row(cloud))
         assert abs(sharpe - (ret - 0.013) / vol) <= 1e-9
 
@@ -234,7 +238,7 @@ class TestMinRiskAndMaxSharpe:
         oracle = closed_form_min_variance(sigma)
         assert oracle.long_only
         vol_star = annual_vol(oracle.weights, sigma)
-        cloud = mvp.sample_portfolios(mu, sigma, 10_000, 0.01, seed=7)
+        cloud = sample_cloud(mu, sigma, 10_000, 0.01, seed=7)
         vol_mc = cloud.volatilities[mvp.min_risk_row(cloud)]
         assert vol_mc >= vol_star
         assert (vol_mc - vol_star) / vol_star < 0.05
@@ -243,7 +247,7 @@ class TestMinRiskAndMaxSharpe:
         mu, sigma = synthetic_ten_asset_case()
         vols = []
         for count in (500, 1500, 4000):
-            cloud = mvp.sample_portfolios(mu, sigma, count, 0.01, seed=13)
+            cloud = sample_cloud(mu, sigma, count, 0.01, seed=13)
             vols.append(cloud.volatilities[mvp.min_risk_row(cloud)])
         assert vols[0] >= vols[1] >= vols[2]
 
@@ -256,14 +260,14 @@ class TestEfficientFrontier:
 
     def test_single_bin_is_global_max_return(self):
         mu, sigma = synthetic_ten_asset_case()
-        cloud = mvp.sample_portfolios(mu, sigma, 1000, 0.01, seed=2)
+        cloud = sample_cloud(mu, sigma, 1000, 0.01, seed=2)
         frontier = mvp.efficient_frontier(cloud, bins=1)
         assert len(frontier) == 1
         assert cloud.returns[frontier[0]] == cloud.returns.max()
 
     def test_points_dominate_their_bins(self):
         mu, sigma = synthetic_ten_asset_case()
-        cloud = mvp.sample_portfolios(mu, sigma, 1000, 0.01, seed=2)
+        cloud = sample_cloud(mu, sigma, 1000, 0.01, seed=2)
         bins = 20
         frontier = mvp.efficient_frontier(cloud, bins=bins)
         vols = cloud.volatilities
@@ -354,7 +358,7 @@ class TestClosedFormMinVariance:
 class TestFrontierCsv:
     def test_round_trip(self, tmp_path):
         mu, sigma = synthetic_ten_asset_case()
-        cloud = mvp.sample_portfolios(mu, sigma, 250, 0.01, seed=21)
+        cloud = sample_cloud(mu, sigma, 250, 0.01, seed=21)
         path = tmp_path / "frontier.csv"
         mvp.write_frontier_csv(cloud, path)
         data = read_frontier_csv(path)

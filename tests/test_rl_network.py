@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import read_training_log, tabular_q_check, td_target, two_state_chain
+from oracles import loss_and_grads, read_training_log, tabular_q_check, td_target, two_state_chain
 from portlab.errors import ModelFormatError
 from portlab.rl.agent import EpisodeStats, ReplayBatch, write_training_log
 from portlab.rl.network import (
     _forward_batch,
-    _loss_and_grads,
     load_qnetwork,
     qnet_init,
     qnet_train_step,
@@ -21,11 +20,11 @@ from portlab.rl.params import Hyperparams
 
 
 def _net(n_assets=3, hidden=(6, 5), seed=4):
-    return qnet_init(n_assets, Hyperparams(hidden_dims=hidden, seed=seed))
+    return qnet_init(n_assets, Hyperparams(hidden_dims=hidden), np.random.default_rng(seed))
 
 
 def _loss(net, x, actions, targets) -> float:
-    return _loss_and_grads(net, x, actions, targets)[0]
+    return loss_and_grads(net, x, actions, targets)[0]
 
 
 def test_loss_gradients_match_central_differences():
@@ -36,7 +35,7 @@ def test_loss_gradients_match_central_differences():
     x = rng.normal(size=(7, net.n_inputs))
     actions = rng.integers(0, net.n_outputs, size=7)
     targets = rng.normal(size=7)
-    _, grad_w, grad_b = _loss_and_grads(net, x, actions, targets)
+    _, grad_w, grad_b = loss_and_grads(net, x, actions, targets)
 
     h = 1e-6
     for params, grads in ((net.weights, grad_w), (net.biases, grad_b)):
@@ -125,10 +124,10 @@ def test_train_step_equals_per_layer_update_bit_for_bit():
         next_states=rng.normal(size=(9, net.n_inputs)),
         dones=np.zeros(9, dtype=bool),
     )
-    for _ in range(3):
+    for step in range(3):
         targets = td_targets(batch, net, 0.9)
-        loss = qnet_train_step(net, batch, targets, 0.01)
-        ref_loss, grad_w, grad_b = _loss_and_grads(ref, batch.states, batch.actions, targets)
+        loss = qnet_train_step(net, batch, targets, 0.01, step)
+        ref_loss, grad_w, grad_b = loss_and_grads(ref, batch.states, batch.actions, targets)
         for p, g in zip(ref.weights + ref.biases, grad_w + grad_b):
             p -= 0.01 * g
         assert loss == ref_loss
