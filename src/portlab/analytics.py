@@ -134,7 +134,9 @@ class CumulativeCurve:
 
 def simple_returns(table: PriceTable) -> ReturnTable:
     """Day-over-day fractional changes: ``P[t+1] / P[t] - 1``."""
-    closes = _cleaned_closes(table)
+    if table.has_missing():
+        raise ValueError("price table still has missing cells; forward_fill first")
+    closes = table.closes
     with np.errstate(over="ignore"):
         values = closes[1:] / closes[:-1] - 1.0
     bad = ~np.isfinite(values)
@@ -145,12 +147,6 @@ def simple_returns(table: PriceTable) -> ReturnTable:
             f"close {float(closes[row, col])!r} -> {float(closes[row + 1, col])!r}"
         )
     return ReturnTable(table.dates[1:], table.tickers, values)
-
-
-def _cleaned_closes(table: PriceTable) -> np.ndarray:
-    if table.has_missing():
-        raise ValueError("price table still has missing cells; forward_fill first")
-    return table.closes
 
 
 def annual_mean(returns: ReturnTable, trading_days: int) -> np.ndarray:

@@ -72,15 +72,6 @@ class BacktestReport:
             raise ValueError("stored Sharpe inconsistent with return/risk/risk-free")
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Test-phase Sharpe per dataset row, columns fixed to METHOD_ORDER."""
-
-    datasets: tuple[str, ...]
-    methods: tuple[str, ...]
-    cells: tuple[tuple[float | None, ...], ...]
-
-
 def static_schedule(portfolio: Portfolio, dates: tuple[date, ...]) -> WeightSchedule:
     """Repeat fixed weights over every date."""
     return WeightSchedule(dates, np.tile(portfolio.weights, (len(dates), 1)))
@@ -122,9 +113,10 @@ def run_backtest(
     )
 
 
-def compare_methods(reports: list[BacktestReport]) -> ComparisonTable:
+def compare_methods(reports: list[BacktestReport]) -> list[tuple[str, tuple[float | None, ...]]]:
     """Assemble the test-phase Sharpe matrix, rows sorted by dataset label.
 
+    Each row is ``(dataset, cells)`` with one cell per METHOD_ORDER entry.
     Methods outside METHOD_ORDER are ignored; methods missing for a
     dataset stay None so the CSV renders an empty cell rather than a zero.
     """
@@ -141,14 +133,12 @@ def compare_methods(reports: list[BacktestReport]) -> ComparisonTable:
                 f"method {report.method!r}"
             )
         by_key[key] = report.sharpe
-    datasets = tuple(sorted({dataset for dataset, _ in by_key}))
-    if not datasets:
+    if not by_key:
         raise PortlabError("no test-phase reports among the inputs")
-    cells = tuple(
-        tuple(by_key.get((dataset, method)) for method in METHOD_ORDER)
-        for dataset in datasets
-    )
-    return ComparisonTable(datasets, METHOD_ORDER, cells)
+    return [
+        (dataset, tuple(by_key.get((dataset, method)) for method in METHOD_ORDER))
+        for dataset in sorted({dataset for dataset, _ in by_key})
+    ]
 
 
 def write_report(report: BacktestReport, path: str | Path) -> None:
@@ -198,12 +188,14 @@ def read_report(path: str | Path) -> BacktestReport:
         raise ReportFormatError(f"{path}: {exc}") from None
 
 
-def write_comparison_csv(table: ComparisonTable, path: str | Path) -> None:
+def write_comparison_csv(
+    rows: list[tuple[str, tuple[float | None, ...]]], path: str | Path
+) -> None:
     """Comparison matrix CSV: header ``dataset,MVP,HRP,EQUAL,RL``."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", *table.methods])
-        for dataset, row in zip(table.datasets, table.cells):
+        writer.writerow(["dataset", *METHOD_ORDER])
+        for dataset, cells in rows:
             writer.writerow(
-                [dataset] + ["" if v is None else repr(float(v)) for v in row]
+                [dataset] + ["" if v is None else repr(float(v)) for v in cells]
             )

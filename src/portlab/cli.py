@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import analytics, backtest, hrp, mvp
-from .config import RunConfig, load_config, with_out_dir, with_seed
+from .config import RunConfig, load_config, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
 from .floatcsv import write_float_csv
 from .jsonfile import write_json
@@ -67,9 +68,9 @@ def cmd_hrp(config: RunConfig) -> None:
     tree, portfolio = hrp.hrp_weights(data.train_returns)
 
     write_json(out / "hrp_linkage.json", hrp.linkage_to_records(tree))
-    lines = ["ticker,weight"]
-    lines += [f"{t},{w!r}" for t, w in zip(portfolio.tickers, portfolio.weights)]
-    (out / "hrp_weight_bars.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_repr_column(
+        out / "hrp_weight_bars.csv", "ticker,weight", portfolio.tickers, portfolio.weights
+    )
     write_portfolio_json(portfolio, "HRP", out / "hrp_weights.json")
 
     _write_reports("HRP", _static(portfolio), data, config, out)
@@ -102,7 +103,8 @@ def cmd_rl_eval(config: RunConfig) -> None:
     schedule, report = _write_reports(
         "RL", lambda r: evaluate(net, r, config.rl, config.trading_days), data, config, out
     )
-    _write_curve_csv(report.curve, out / "rl_curve.csv")
+    curve = report.curve
+    _write_repr_column(out / "rl_curve.csv", "date,cumulative_return", curve.dates, curve.values)
     _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
 
 
@@ -113,8 +115,8 @@ def cmd_compare(config: RunConfig) -> None:
     if not paths:
         raise PortlabError(f"no report_*.json files found in {out}")
     reports = [backtest.read_report(p) for p in paths]
-    table = backtest.compare_methods(reports)
-    backtest.write_comparison_csv(table, out / "comparison.csv")
+    rows = backtest.compare_methods(reports)
+    backtest.write_comparison_csv(rows, out / "comparison.csv")
 
 
 class _PreparedData:
@@ -180,9 +182,15 @@ def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> N
     write_json(path, payload)
 
 
-def _write_curve_csv(curve: analytics.CumulativeCurve, path: Path) -> None:
-    lines = ["date,cumulative_return"]
-    lines += [f"{d.isoformat()},{v!r}" for d, v in zip(curve.dates, curve.values)]
+def _write_repr_column(path: Path, header: str, labels: Iterable, values: Iterable) -> None:
+    """``header``, then one ``label,repr(value)`` line per row.
+
+    Labels are formatted by ``str`` (ISO for a date). The values are numpy
+    scalars, so cells read ``np.float64(...)``: the bytes that
+    perfbench/digests.json records for rl_curve.csv and hrp_weight_bars.csv.
+    """
+    lines = [header]
+    lines += [f"{label},{v!r}" for label, v in zip(labels, values)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -214,11 +222,9 @@ def _load_and_override(config_path: Path, out_flag: Path | None) -> RunConfig:
             config = with_seed(config, seed)
         except ValueError as exc:
             raise ConfigError(f"PLAB_SEED: {exc}") from None
-    out_env = os.environ.get("PLAB_OUT")
-    if out_env is not None:
-        config = with_out_dir(config, Path(out_env))
-    if out_flag is not None:
-        config = with_out_dir(config, out_flag)
+    out_dir = out_flag if out_flag is not None else os.environ.get("PLAB_OUT")
+    if out_dir is not None:
+        config = replace(config, out_dir=Path(out_dir))
     return config
 
 

@@ -123,6 +123,3 @@ def with_seed(config: RunConfig, seed: int) -> RunConfig:
     """Re-pin both the top-level and agent seeds."""
     return replace(config, seed=seed, rl=replace(config.rl, seed=seed))
 
-
-def with_out_dir(config: RunConfig, out_dir: Path) -> RunConfig:
-    return replace(config, out_dir=out_dir)

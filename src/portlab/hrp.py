@@ -83,18 +83,6 @@ class LinkageTree:
         return self.n_leaves + len(self.merges) - 1
 
 
-@dataclass(frozen=True)
-class SeriationOrder:
-    """Dendrogram leaf order: a permutation of 0..N-1."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of 0..N-1")
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-
-
 def corr_distance(corr: CorrMatrix) -> DistanceMatrix:
     """Map correlations to distances: ``sqrt(0.5 * (1 - rho))``."""
     values = np.sqrt(np.maximum(0.5 * (1.0 - corr.values), 0.0))
@@ -163,7 +151,7 @@ def single_linkage(d: DistanceMatrix) -> LinkageTree:
     return LinkageTree(n, tuple(merges))
 
 
-def quasi_diag_order(tree: LinkageTree) -> SeriationOrder:
+def quasi_diag_order(tree: LinkageTree) -> list[int]:
     """Depth-first leaf order of the tree, left subtree before right.
 
     Reordering the covariance matrix by this permutation pulls large
@@ -179,7 +167,7 @@ def quasi_diag_order(tree: LinkageTree) -> SeriationOrder:
             merge = tree.merges[node - tree.n_leaves]
             stack.append(merge.right)
             stack.append(merge.left)
-    return SeriationOrder(tuple(order))
+    return order
 
 
 def cluster_variance(cov_sub: np.ndarray) -> float:
@@ -199,20 +187,21 @@ def cluster_variance(cov_sub: np.ndarray) -> float:
     return float(w @ v @ w)
 
 
-def recursive_bisection(cov: CovMatrix, order: SeriationOrder) -> Portfolio:
-    """Top-down weight assignment over the seriated asset list.
+def recursive_bisection(cov: CovMatrix, order: list[int]) -> Portfolio:
+    """Top-down weight assignment over the seriated asset list ``order``.
 
-    All weights start at 1. Each cluster splits into two contiguous
-    halves (ceil(n/2) | rest); the left half is scaled by
-    ``a = 1 - V1/(V1 + V2)`` and the right by ``1 - a``, where each V is the
-    inverse-variance cluster variance. Cluster variances are floored so
-    every split factor stays strictly inside (0, 1).
+    ``order`` must be a permutation of the covariance's asset indices, as
+    :func:`quasi_diag_order` returns. All weights start at 1. Each cluster
+    splits into two contiguous halves (ceil(n/2) | rest); the left half is
+    scaled by ``a = 1 - V1/(V1 + V2)`` and the right by ``1 - a``, where
+    each V is the inverse-variance cluster variance. Cluster variances are
+    floored so every split factor stays strictly inside (0, 1).
     """
-    n = len(order.order)
-    if cov.values.shape[0] != n:
-        raise ValueError("seriation order does not match covariance size")
+    n = cov.values.shape[0]
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"seriation order must be a permutation of 0..{n - 1}")
     weights = np.ones(n)
-    stack: list[list[int]] = [list(order.order)]
+    stack: list[list[int]] = [list(order)]
     while stack:
         items = stack.pop()
         if len(items) < 2:

@@ -170,11 +170,11 @@ def efficient_frontier(cloud: FrontierCloud, bins: int) -> np.ndarray:
         bin_of = np.minimum(
             ((vols - vmin) / (vmax - vmin) * bins).astype(int), bins - 1
         )
+    # occupied bins only: split the points, ascending within each bin, at
+    # every change of bin (np.unique would also import numpy.ma)
+    by_bin = np.argsort(bin_of, kind="stable")
     chosen: list[int] = []
-    for b in range(bins):
-        members = np.nonzero(bin_of == b)[0]
-        if members.size == 0:
-            continue
+    for members in np.split(by_bin, np.flatnonzero(np.diff(bin_of[by_bin])) + 1):
         chosen.append(int(members[np.argmax(rets[members])]))
     chosen.sort(key=lambda i: (vols[i], i))
     return np.array(chosen, dtype=np.intp)

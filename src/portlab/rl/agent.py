@@ -23,6 +23,7 @@ import numpy as np
 
 from ..analytics import ReturnTable
 from ..backtest import WeightSchedule
+from ..errors import DivergenceError
 from ..floatcsv import write_float_csv
 from .env import FeatureTable, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
@@ -129,8 +130,8 @@ def train(
     episode down to ``eps_min``. With ``episodes=0`` the freshly
     initialized network is returned untouched. A table too short for one
     step raises :class:`~portlab.errors.InsufficientDataError`, whatever
-    the episode count; a non-finite loss raises
-    :class:`~portlab.errors.DivergenceError`.
+    the episode count; a non-finite loss or a non-finite parameter after
+    the last step raises :class:`~portlab.errors.DivergenceError`.
     """
     table = FeatureTable(returns_train, hp)
     rng = np.random.default_rng(hp.seed)
@@ -167,6 +168,10 @@ def train(
             log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
             eps = max(hp.eps_min, eps * hp.eps_decay)
 
+    # qnet_train_step checks the loss before its update, so only this
+    # catches an update that overflows on the last step
+    if not np.all(np.isfinite(net.params)):
+        raise DivergenceError(f"non-finite network parameters after step {global_step - 1}")
     return net, log
 
 

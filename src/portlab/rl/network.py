@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import DivergenceError, ModelFormatError
+from ..floatcsv import write_float_csv
 from .env import feature_dim, num_actions
 from .params import Hyperparams
 
@@ -147,9 +148,7 @@ def qnet_train_step(
     one entry per batch row. ``step`` numbers the update in the error
     raised for a non-finite loss.
     """
-    loss = _backprop(
-        net, batch.states, batch.actions, np.asarray(targets, float), net._grad_w, net._grad_b
-    )
+    loss = _backprop(net, batch.states, batch.actions, np.asarray(targets, float))
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss at step {step}")
     grad = net._grad
@@ -158,15 +157,8 @@ def qnet_train_step(
     return loss
 
 
-def _backprop(
-    net: QNetwork,
-    x: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    grad_w: list[np.ndarray],
-    grad_b: list[np.ndarray],
-) -> float:
-    """Write the loss gradients into ``grad_w``/``grad_b``; return the loss."""
+def _backprop(net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
+    """Write the loss gradients into the net's gradient vector; return the loss."""
     batch_size = x.shape[0]
     activations = [x]
     out = _forward_batch(net, x, activations)
@@ -179,8 +171,8 @@ def _backprop(
     delta.fill(0.0)
     delta[rows, actions] = 2.0 * err / batch_size
     for i in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=grad_w[i])
-        np.add.reduce(delta, axis=0, out=grad_b[i])
+        np.matmul(activations[i].T, delta, out=net._grad_w[i])
+        np.add.reduce(delta, axis=0, out=net._grad_b[i])
         if i > 0:
             # rectifier gate: the stored activation is max(z, 0), so its
             # positivity marks where gradient passes
@@ -191,9 +183,8 @@ def _backprop(
 
 def save_qnetwork(net: QNetwork, path: str | Path) -> None:
     """Write dims then parameters (row-major per layer, weights before biases)."""
-    lines = ["qnetwork " + " ".join(str(d) for d in net.layer_dims)]
-    lines.extend(map(repr, net.params.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "qnetwork " + " ".join(str(d) for d in net.layer_dims)
+    write_float_csv(path, [header], net.params[:, None])
 
 
 def load_qnetwork(path: str | Path) -> QNetwork:

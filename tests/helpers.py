@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -11,23 +11,14 @@ import numpy as np
 from portlab.analytics import CovMatrix, ReturnTable
 from portlab.hrp import LinkageTree, MergeRecord
 from portlab.market_data import PriceTable
-
-
-def weekdays(n: int, start: date = date(2019, 1, 1)) -> tuple[date, ...]:
-    out: list[date] = []
-    day = start
-    while len(out) < n:
-        if day.weekday() < 5:
-            out.append(day)
-        day += timedelta(days=1)
-    return tuple(out)
+from portlab.synthetic import weekday_dates
 
 
 def make_table(closes, tickers=None, start: date = date(2019, 1, 1)) -> PriceTable:
     closes = np.asarray(closes, dtype=float)
     if tickers is None:
         tickers = tuple(f"T{i}" for i in range(closes.shape[1]))
-    return PriceTable(weekdays(closes.shape[0], start), tuple(tickers), closes)
+    return PriceTable(weekday_dates(start, closes.shape[0]), tuple(tickers), closes)
 
 
 def make_returns(values, tickers=None, start: date = date(2019, 1, 1)) -> ReturnTable:
@@ -36,7 +27,7 @@ def make_returns(values, tickers=None, start: date = date(2019, 1, 1)) -> Return
         values = values[:, None]
     if tickers is None:
         tickers = tuple(f"T{i}" for i in range(values.shape[1]))
-    return ReturnTable(weekdays(values.shape[0], start), tuple(tickers), values)
+    return ReturnTable(weekday_dates(start, values.shape[0]), tuple(tickers), values)
 
 
 def random_returns(rng: np.random.Generator, n_rows: int, n_assets: int) -> ReturnTable:

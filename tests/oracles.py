@@ -110,9 +110,13 @@ def td_target(reward: float, discount: float, max_next_q: float, done: bool) -> 
 def loss_and_grads(
     net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean squared error on the taken actions' Q-values, with fresh per-layer gradients."""
-    grad_w, grad_b = _layer_views(np.empty_like(net.params), net.layer_dims)
-    loss = _backprop(net, x, actions, targets, grad_w, grad_b)
+    """Mean squared error on the taken actions' Q-values, with per-layer gradients.
+
+    The gradients are copied out of the net's own gradient vector into
+    fresh arrays, so the next backward pass does not overwrite them.
+    """
+    loss = _backprop(net, x, actions, targets)
+    grad_w, grad_b = _layer_views(net._grad.copy(), net.layer_dims)
     return loss, grad_w, grad_b
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_returns, make_table, weekdays
+from helpers import make_returns, make_table
 from portlab import analytics
 from portlab.backtest import WeightSchedule, static_schedule
 from portlab.errors import (
@@ -15,6 +15,7 @@ from portlab.errors import (
     UndefinedSharpeError,
 )
 from portlab.mvp import equal_weight
+from portlab.synthetic import weekday_dates
 
 
 def _curve(returns, schedule):
@@ -247,7 +248,7 @@ class TestCumulativeReturns:
 
     def test_misaligned_schedule_errors(self):
         rets = make_returns(np.zeros((4, 2)))
-        other_dates = weekdays(4, start=rets.dates[0].replace(year=2021))
+        other_dates = weekday_dates(rets.dates[0].replace(year=2021), 4)
         schedule = WeightSchedule(other_dates, np.full((4, 2), 0.5))
         with pytest.raises(AlignmentError):
             _curve(rets, schedule)
@@ -255,7 +256,7 @@ class TestCumulativeReturns:
     def test_superset_schedule_errors(self):
         # the schedule must be dated exactly as the returns, not merely cover them
         rets = make_returns(np.full((3, 2), 0.01))
-        schedule = WeightSchedule(weekdays(5), np.full((5, 2), 0.5))
+        schedule = WeightSchedule(weekday_dates(rets.dates[0], 5), np.full((5, 2), 0.5))
         with pytest.raises(AlignmentError):
             _curve(rets, schedule)
 

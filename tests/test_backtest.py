@@ -1,15 +1,28 @@
-"""Backtest dataclass invariants: NaN must fail them like any other bad value."""
+"""Backtest dataclass invariants and the comparison CSV.
+
+NaN must fail every invariant like any other bad value.
+"""
 
 from __future__ import annotations
+
+from datetime import date
 
 import numpy as np
 import pytest
 
-from helpers import make_returns, weekdays
+from helpers import make_returns
 from portlab.analytics import CumulativeCurve
-from portlab.backtest import BacktestReport, WeightSchedule, run_backtest, static_schedule
+from portlab.backtest import (
+    BacktestReport,
+    WeightSchedule,
+    compare_methods,
+    run_backtest,
+    static_schedule,
+    write_comparison_csv,
+)
 from portlab.errors import NonFiniteError
 from portlab.mvp import equal_weight
+from portlab.synthetic import weekday_dates
 
 
 def _report(**overrides) -> BacktestReport:
@@ -21,10 +34,40 @@ def _report(**overrides) -> BacktestReport:
         annual_risk=0.2,
         risk_free=0.01,
         sharpe=(0.11 - 0.01) / 0.2,
-        curve=CumulativeCurve(weekdays(2), np.array([0.0, 0.01])),
+        curve=CumulativeCurve(weekday_dates(date(2019, 1, 1), 2), np.array([0.0, 0.01])),
     )
     fields.update(overrides)
     return BacktestReport(**fields)
+
+
+def _scored(method: str, dataset: str, sharpe: float, phase: str = "test") -> BacktestReport:
+    return _report(
+        method=method,
+        phase=phase,
+        dataset=dataset,
+        annual_return=0.01 + sharpe,
+        annual_risk=1.0,
+        sharpe=sharpe,
+    )
+
+
+def test_comparison_csv_leaves_a_missing_method_empty(tmp_path):
+    reports = [
+        _scored("RL", "b", -0.5),
+        _scored("EQUAL", "b", 0.1),
+        _scored("HRP", "b", 0.3),
+        _scored("MVP", "b", 1e-05),
+        _scored("MVP", "a", 2.0),
+        _scored("HRP", "a", 0.75),
+        _scored("EQUAL", "a", 0.1 + 0.2),
+        _scored("RL", "a", 9.0, phase="train"),
+    ]
+    write_comparison_csv(compare_methods(reports), tmp_path / "comparison.csv")
+    assert (tmp_path / "comparison.csv").read_bytes() == (
+        b"dataset,MVP,HRP,EQUAL,RL\n"
+        b"a,2.0,0.75,0.30000000000000004,\n"
+        b"b,1e-05,0.3,0.1,-0.5\n"
+    )
 
 
 def test_consistent_report_accepted():
@@ -48,7 +91,7 @@ def test_risk_must_be_positive(risk):
 )
 def test_schedule_rejects_rows_off_the_simplex(row):
     with pytest.raises(ValueError, match="simplex"):
-        WeightSchedule(weekdays(2), np.array([[0.5, 0.5], row]))
+        WeightSchedule(weekday_dates(date(2019, 1, 1), 2), np.array([[0.5, 0.5], row]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import weekdays
 from oracles import read_training_log
 from portlab import backtest, cli, synthetic
 from portlab.analytics import CumulativeCurve
@@ -95,7 +94,7 @@ def test_rl_eval_accepts_well_formed_model(run_dir, capsys):
 
 def _saved_report(out):
     path = out / "report_MVP_test.json"
-    curve = CumulativeCurve(weekdays(2), np.array([0.0, 0.01]))
+    curve = CumulativeCurve(synthetic.weekday_dates(date(2019, 1, 1), 2), np.array([0.0, 0.01]))
     report = backtest.BacktestReport("MVP", "test", "d", 0.11, 0.2, 0.01, 0.5, curve)
     backtest.write_report(report, path)
     return path
@@ -240,6 +239,47 @@ def test_bad_config_value_gives_one_line_error(
     assert message in err[0]
 
 
+@pytest.mark.parametrize(
+    ("env", "flag", "expected"),
+    [(False, False, "config"), (True, False, "env"), (False, True, "flag"), (True, True, "flag")],
+    ids=["config", "plab-out", "out-flag", "out-flag-over-plab-out"],
+)
+def test_output_directory_is_out_flag_then_plab_out_then_config(
+    tmp_path, fixture_csv, monkeypatch, env, flag, expected
+):
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, f"out_dir = {tmp_path / 'config'}\n")
+    if env:
+        monkeypatch.setenv("PLAB_OUT", str(tmp_path / "env"))
+    else:
+        monkeypatch.delenv("PLAB_OUT", raising=False)
+    argv = ["hrp", "--config", str(config)] + (["--out", str(tmp_path / "flag")] if flag else [])
+    assert cli.main(argv) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [expected]
+    assert (tmp_path / expected / "hrp_weights.json").exists()
+
+
+def test_rl_train_refuses_to_save_a_model_that_overflowed(tmp_path, capsys):
+    # at this learning rate the last update overflows the parameters, after
+    # the final loss check has passed
+    prices = tmp_path / "prices.csv"
+    write_prices(synthetic.drift_price_table(n_assets=3, n_days=24), prices)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"data = {prices}\ntrain_end = 2018-01-15\ntest_start = 2018-01-16\n"
+        "rl.window = 4\nrl.rebalance_period = 2\nrl.episodes = 1\n"
+        "rl.batch_size = 3\nrl.replay_capacity = 4\nrl.learning_rate = 1e308\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = cli.main(["rl-train", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "non-finite network parameters" in err[0]
+    assert not (out / "rl_model.txt").exists()
+
+
 def test_rl_train_reward_is_annualized_by_the_configured_trading_days(tmp_path, fixture_csv):
     models, logs = {}, {}
     for days in (252, 365):
@@ -319,7 +359,7 @@ def test_overflowing_statistics_give_one_line_error(tmp_path, capsys, command, m
 def test_overflowing_annual_mean_gives_one_line_error(tmp_path, capsys):
     # closes 2**-1074, 2**-57, 2**960: both returns are exactly 2**1017, so the
     # covariance is 0, but their mean times 252 overflows float64
-    dates = weekdays(6, date(2019, 5, 1))
+    dates = synthetic.weekday_dates(date(2019, 5, 1), 6)
     closes = np.array([[5e-324, 6.938893903907228e-18, 9.7453140114e288, 1.0, 1.0, 1.0],
                        [1.0, 1.1, 1.2, 1.3, 1.2, 1.1]]).T
     prices = tmp_path / "prices.csv"
@@ -400,7 +440,7 @@ def _small_price_tables(draw) -> tuple[PriceTable, int]:
     closes = np.column_stack(columns)
     closes[1:][rng.uniform(size=(n_rows - 1, len(columns))) < 0.1] = np.nan
     tickers = tuple(f"T{i}" for i in range(len(columns)))
-    return PriceTable(weekdays(n_rows), tickers, closes), n_train
+    return PriceTable(synthetic.weekday_dates(date(2019, 1, 1), n_rows), tickers, closes), n_train
 
 
 def _reject_constant(name: str):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO_ROOT
-from portlab.config import RunConfig, load_config, with_out_dir, with_seed
+from portlab.config import RunConfig, load_config, with_seed
 from portlab.errors import ConfigError
 from portlab.rl.params import Hyperparams
 
@@ -102,13 +102,6 @@ def test_agent_seed_defaults_to_top_level_seed(tmp_path):
 def test_with_seed_repins_both_seeds(tmp_path):
     config = with_seed(_load(tmp_path, REQUIRED + "seed = 11\nrl.seed = 3\n"), 42)
     assert (config.seed, config.rl.seed) == (42, 42)
-
-
-def test_with_out_dir_changes_only_the_destination(tmp_path):
-    config = _load(tmp_path, REQUIRED)
-    moved = with_out_dir(config, Path("elsewhere"))
-    assert moved.out_dir == Path("elsewhere")
-    assert with_out_dir(moved, config.out_dir) == config
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 The reference writers below are the per-row writers that the table
 writer replaced: ``csv.writer`` over ``repr(float(w))`` cells for the
 cloud and the DQN training log, and string joins of the same cells for
-the frontier curve and the RL schedule. Every output file must match
-them byte for byte.
+the frontier curve, the RL schedule and the saved Q-network. Every
+output file must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,10 +15,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import cov_matrix, weekdays
+from helpers import cov_matrix
 from portlab import cli, floatcsv, mvp
 from portlab.backtest import WeightSchedule
 from portlab.rl.agent import EpisodeStats, write_training_log
+from portlab.rl.network import qnet_init, save_qnetwork
+from portlab.rl.params import Hyperparams
+from portlab.synthetic import weekday_dates
 
 # cells whose shortest repr is in exponent form, or not what the literal suggests
 AWKWARD = [1e-05, 1e16, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1.0, 123456789.125]
@@ -61,6 +64,11 @@ def reference_training_log(log, path) -> None:
             writer.writerow(
                 [row.episode, repr(row.cum_reward), repr(row.mean_loss), repr(row.epsilon)]
             )
+
+
+def reference_qnetwork(net, path) -> None:
+    header = "qnetwork " + " ".join(str(d) for d in net.layer_dims)
+    path.write_text("\n".join([header, *map(repr, net.params.tolist())]) + "\n", encoding="utf-8")
 
 
 def awkward_cloud() -> mvp.FrontierCloud:
@@ -116,7 +124,7 @@ def test_schedule_csv_matches_reference(tmp_path, n_rows):
     draws = rng.uniform(size=(n_rows, 4))
     weights = draws / draws.sum(axis=1, keepdims=True)
     weights[0] = [1e-05, 0.1 + 0.2, 0.7 - 1e-05, 0.0]
-    schedule = WeightSchedule(weekdays(n_rows, date(2015, 1, 1)), weights)
+    schedule = WeightSchedule(weekday_dates(date(2015, 1, 1), n_rows), weights)
     tickers = ("A", "B", "C", "D")
     cli._write_schedule_csv(schedule, tickers, tmp_path / "new.csv")
     reference_schedule_csv(schedule, tickers, tmp_path / "ref.csv")
@@ -134,6 +142,14 @@ def test_training_log_matches_reference(tmp_path, n_episodes):
     write_training_log(log, tmp_path / "new.csv")
     reference_training_log(log, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_saved_qnetwork_matches_reference(tmp_path):
+    net = qnet_init(10, Hyperparams(hidden_dims=(64, 32)), np.random.default_rng(7))
+    net.params[: len(AWKWARD)] = AWKWARD
+    save_qnetwork(net, tmp_path / "new.txt")
+    reference_qnetwork(net, tmp_path / "ref.txt")
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 def test_cells_are_shortest_repr(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_returns, random_returns, tree_from_records
 from portlab import hrp
 from portlab.analytics import CorrMatrix, CovMatrix, correlation, covariance
-from portlab.hrp import DistanceMatrix, LinkageTree, MergeRecord, SeriationOrder
+from portlab.hrp import DistanceMatrix, LinkageTree, MergeRecord
 
 
 def tickers(n):
@@ -247,7 +247,7 @@ class TestQuasiDiag:
         corr[0, 1] = corr[1, 0] = 0.9
         corr[2, 3] = corr[3, 2] = 0.9
         d = hrp.corr_distance(CorrMatrix(tickers(4), corr))
-        order = hrp.quasi_diag_order(hrp.single_linkage(hrp.codistance(d))).order
+        order = hrp.quasi_diag_order(hrp.single_linkage(hrp.codistance(d)))
         blocks = ({0, 1}, {2, 3})
         assert {order[0], order[1]} in blocks
         assert {order[2], order[3]} in blocks
@@ -257,11 +257,11 @@ class TestQuasiDiag:
             rets = random_returns(rng, 40, 7)
             tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(correlation(rets))))
             order = hrp.quasi_diag_order(tree)
-            assert sorted(order.order) == list(range(7))
+            assert sorted(order) == list(range(7))
 
     def test_two_leaf_tree(self):
         tree = hrp.single_linkage(dist([[0.0, 0.5], [0.5, 0.0]]))
-        assert hrp.quasi_diag_order(tree).order == (0, 1)
+        assert hrp.quasi_diag_order(tree) == [0, 1]
 
 
 class TestClusterVariance:
@@ -287,18 +287,21 @@ class TestRecursiveBisection:
         return CovMatrix(tickers(values.shape[0]), values)
 
     def test_two_assets(self):
-        port = hrp.recursive_bisection(self._cov(np.diag([1.0, 2.0])), SeriationOrder((0, 1)))
+        port = hrp.recursive_bisection(self._cov(np.diag([1.0, 2.0])), [0, 1])
         assert port.weights == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
     def test_isotropic_equal_weights(self):
-        port = hrp.recursive_bisection(self._cov(0.5 * np.eye(4)), SeriationOrder((0, 1, 2, 3)))
+        port = hrp.recursive_bisection(self._cov(0.5 * np.eye(4)), [0, 1, 2, 3])
         assert port.weights == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_hand_traced_four_assets(self):
-        port = hrp.recursive_bisection(
-            self._cov(np.diag([1.0, 1.0, 2.0, 2.0])), SeriationOrder((0, 1, 2, 3))
-        )
+        port = hrp.recursive_bisection(self._cov(np.diag([1.0, 1.0, 2.0, 2.0])), [0, 1, 2, 3])
         assert port.weights == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6], abs=1e-12)
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+    def test_rejects_an_order_that_is_no_permutation_of_the_assets(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            hrp.recursive_bisection(self._cov(np.eye(3)), order)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -306,7 +309,7 @@ class TestRecursiveBisection:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         variances = rng.uniform(0.2, 5.0, size=n)
-        order = SeriationOrder(tuple(rng.permutation(n)))
+        order = rng.permutation(n).tolist()
         port = hrp.recursive_bisection(self._cov(np.diag(variances)), order)
         ivp = (1 / variances) / (1 / variances).sum()
         assert np.max(np.abs(port.weights - ivp)) < 1e-9
@@ -370,7 +373,7 @@ class TestHrpWeights:
         rets = make_returns(values[:, rng.permutation(6)])
         corr = correlation(rets)
         tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(corr)))
-        order = list(hrp.quasi_diag_order(tree).order)
+        order = hrp.quasi_diag_order(tree)
         reordered = np.abs(corr.values[np.ix_(order, order)])
         raw = np.abs(corr.values)
         idx = np.arange(6)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import make_table, weekdays
+from helpers import make_table
 from portlab.errors import (
     DateOrderError,
     PriceParseError,
@@ -21,6 +21,7 @@ from portlab.market_data import (
     split_by_date,
     write_prices,
 )
+from portlab.synthetic import weekday_dates
 
 THREE_ROWS = (
     "date,A,B\n"
@@ -110,7 +111,7 @@ class TestLoadPrices:
 
 class TestPriceTable:
     def test_rejects_duplicate_dates(self):
-        days = weekdays(3)
+        days = weekday_dates(date(2019, 1, 1), 3)
         with pytest.raises(DateOrderError):
             PriceTable((days[0], days[0], days[1]), ("A", "B"), np.ones((3, 2)))
 

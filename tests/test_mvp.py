@@ -268,17 +268,20 @@ class TestEfficientFrontier:
     def test_points_dominate_their_bins(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = sample_cloud(mu, sigma, 1000, 0.01, seed=2)
-        bins = 20
-        frontier = mvp.efficient_frontier(cloud, bins=bins)
         vols = cloud.volatilities
         rets = cloud.returns
         vmin, vmax = vols.min(), vols.max()
-        bin_of = np.minimum(((vols - vmin) / (vmax - vmin) * bins).astype(int), bins - 1)
-        for i in frontier:
-            b = min(int((vols[i] - vmin) / (vmax - vmin) * bins), bins - 1)
-            assert rets[i] == rets[bin_of == b].max()
-        ordered = vols[frontier].tolist()
-        assert ordered == sorted(ordered)
+        # at 10**12 nearly every point has a bin of its own, and the
+        # selection must not visit the empty ones
+        for bins in (20, 10**12):
+            frontier = mvp.efficient_frontier(cloud, bins=bins)
+            # the first maximum-return point of each occupied bin
+            best: dict[int, int] = {}
+            for i in range(len(vols)):
+                b = min(int((vols[i] - vmin) / (vmax - vmin) * bins), bins - 1)
+                if b not in best or rets[i] > rets[best[b]]:
+                    best[b] = i
+            assert frontier.tolist() == sorted(best.values(), key=lambda i: (vols[i], i))
 
 
 class TestPortfolioInvariants:
