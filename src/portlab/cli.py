@@ -198,7 +198,7 @@ def _write_schedule_csv(
     schedule: backtest.WeightSchedule, tickers: tuple[str, ...], path: Path
 ) -> None:
     dates = [d.isoformat() for d in schedule.dates]
-    write_float_csv(path, ["date", *tickers], schedule.weights, labels=dates)
+    write_float_csv(path, ["date", *tickers], [schedule.weights], labels=dates)
 
 
 _COMMANDS = {

@@ -37,6 +37,10 @@ class RunConfig:
         for name in ("trading_days", "mc_samples", "frontier_bins"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # up to 2**53 a frontier bin index (volatility share x bins) is an
+        # exact float and fits an int64
+        if self.frontier_bins > 2**53:
+            raise ValueError(f"frontier_bins must be <= 2**53, got {self.frontier_bins}")
         if not math.isfinite(self.risk_free):
             raise ValueError("risk_free must be finite")
         if self.seed < 0:

@@ -10,6 +10,12 @@ The cloud is held as arrays, one row per sampled portfolio: volatilities,
 returns and Sharpe ratios of shape ``(count,)`` and weights of shape
 ``(count, n)``. Selections (minimum risk, maximum Sharpe, the efficient
 frontier's bins) are row indices into those arrays.
+
+The cloud is held once: :class:`FrontierCloud` adopts the float64 arrays
+:func:`sample_portfolios` fills and sets them read-only instead of
+copying them, and the frontier writers hand those arrays and a row
+selection to :func:`~portlab.floatcsv.write_float_csv`, which stacks
+one small block of rows at a time rather than the whole table.
 """
 
 from __future__ import annotations
@@ -52,7 +58,9 @@ class FrontierCloud:
     Row ``i`` of every array describes sampled portfolio ``i``:
     ``volatilities`` and ``returns`` are annualized, ``sharpes`` is
     ``(returns - risk_free) / volatilities`` and ``weights`` is
-    ``(count, n)`` with every row on the unit simplex.
+    ``(count, n)`` with every row on the unit simplex. A float64 array
+    that owns its data is kept as given and made read-only; anything
+    else (a list, another dtype, a view) is copied first.
     """
 
     volatilities: np.ndarray
@@ -63,7 +71,12 @@ class FrontierCloud:
 
     def __post_init__(self) -> None:
         for name in ("volatilities", "returns", "sharpes", "weights"):
-            values = np.array(getattr(self, name), dtype=float)
+            values = getattr(self, name)
+            # adopt a float64 array that owns its data (no second copy of
+            # the cloud); copy anything else, so no writable view aliases it
+            if not (type(values) is np.ndarray and values.dtype == np.float64
+                    and values.flags.owndata):
+                values = np.array(values, dtype=float)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         count = self.volatilities.shape[0] if self.volatilities.ndim == 1 else -1
@@ -189,5 +202,5 @@ def write_frontier_rows(cloud: FrontierCloud, rows: np.ndarray | slice, path: st
     """Write the cloud's rows ``rows`` (indices or a slice) in the layout above."""
     n_assets = cloud.weights.shape[1]
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
-    columns = (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights)
-    write_float_csv(path, header, np.column_stack([c[rows] for c in columns]))
+    columns = [cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights]
+    write_float_csv(path, header, columns, rows=rows)

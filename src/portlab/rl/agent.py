@@ -5,11 +5,16 @@ seeded from the hyperparameters drives network init, exploration, and
 replay sampling in a fixed order. Each :func:`train` and
 :func:`evaluate` call builds one :class:`~.env.FeatureTable` for its
 return table, so every correlation window is computed once per call.
-Transitions live in preallocated arrays inside :class:`ReplayBuffer`:
-each slot's state and next-state feature vectors side by side in one
-``(capacity, 2 * state_dim)`` row, plus action, reward and done arrays.
-A sample gathers the drawn rows of that array once and hands the two
-halves to the network as views, inside a :class:`ReplayBatch`.
+Transitions live in preallocated arrays inside :class:`ReplayBuffer`.
+A state's correlation features are row ``k`` of the feature table, so a
+slot stores the state's and next state's rows ``k`` and ``k_next`` and
+their two weight vectors, plus action, reward and done: O(capacity x N)
+floats rather than O(capacity x N^2). A sample gathers the drawn slots'
+feature rows and weights into one ``(batch, 2 * state_dim)`` array,
+each row the state's network input followed by the next state's, and
+hands the two halves to the network as views, inside a
+:class:`ReplayBatch`: the same float64 values in the same layout as
+storing the feature vectors themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ..analytics import ReturnTable
 from ..backtest import WeightSchedule
 from ..errors import DivergenceError
 from ..floatcsv import write_float_csv
-from .env import FeatureTable, env_reset, env_step, state_features
+from .env import EnvState, FeatureTable, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
 from .params import Hyperparams
 
@@ -44,18 +49,21 @@ class ReplayBuffer:
     """Bounded transition store with ring semantics: oldest evicted first.
 
     Transitions are kept in preallocated arrays, one row per slot; push
-    number ``p`` (from 0) writes slot ``p % capacity``. Row ``i`` of
-    ``_state_pairs`` holds slot ``i``'s state followed by its next state.
-    The arrays are allocated uninitialised, so only the slots written so
-    far touch memory.
+    number ``p`` (from 0) writes slot ``p % capacity``. A slot holds its
+    state's and next state's :class:`~.env.FeatureTable` rows ``k`` and
+    ``k_next`` and their two weight vectors, not their feature vectors,
+    so memory grows as capacity x N rather than capacity x N^2. The
+    arrays are allocated uninitialised, so only the slots written so far
+    touch memory.
     """
 
-    def __init__(self, capacity: int, state_dim: int):
+    def __init__(self, capacity: int, table: FeatureTable):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._dim = state_dim
-        self._state_pairs = np.empty((capacity, 2 * state_dim))
+        self._table = table
+        self._windows = np.empty((capacity, 2), dtype=np.intp)
+        self._weights = np.empty((capacity, 2, table.returns.n_assets))
         self._actions = np.empty(capacity, dtype=int)
         self._rewards = np.empty(capacity)
         self._dones = np.empty(capacity, dtype=bool)
@@ -63,18 +71,19 @@ class ReplayBuffer:
 
     def push(
         self,
-        state: np.ndarray,
+        state: EnvState,
         action: int,
         reward: float,
-        next_state: np.ndarray,
+        next_state: EnvState,
         done: bool,
     ) -> None:
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
         slot = self._pushes % self.capacity
-        pair = self._state_pairs[slot]
-        pair[: self._dim] = state
-        pair[self._dim :] = next_state
+        self._windows[slot, 0] = self._table.row(state.t)
+        self._windows[slot, 1] = self._table.row(next_state.t)
+        self._weights[slot, 0] = state.weights
+        self._weights[slot, 1] = next_state.weights
         self._actions[slot] = action
         self._rewards[slot] = reward
         self._dones[slot] = done
@@ -86,16 +95,21 @@ class ReplayBuffer:
     def sample(self, rng: np.random.Generator, batch_size: int) -> ReplayBatch:
         """Uniform sample with replacement.
 
-        ``states`` and ``next_states`` are views into one gathered
-        ``(batch_size, 2 * state_dim)`` array.
+        Gathers the drawn slots' feature rows and weights into one
+        ``(batch_size, 2 * state_dim)`` array, each row the state's
+        features and weights followed by the next state's; ``states`` and
+        ``next_states`` are views into its two halves.
         """
         idx = rng.integers(0, len(self), size=batch_size)
-        pairs = self._state_pairs.take(idx, axis=0)
+        features = self._table.values.take(self._windows.take(idx, axis=0), axis=0)
+        pairs = np.concatenate((features, self._weights.take(idx, axis=0)), axis=2)
+        pairs = pairs.reshape(batch_size, -1)
+        half = pairs.shape[1] // 2
         return ReplayBatch(
-            pairs[:, : self._dim],
+            pairs[:, :half],
             self._actions[idx],
             self._rewards[idx],
-            pairs[:, self._dim :],
+            pairs[:, half:],
             self._dones[idx],
         )
 
@@ -106,7 +120,7 @@ def epsilon_greedy(qvals: np.ndarray, eps: float, rng: np.random.Generator) -> i
         raise ValueError("eps must be in [0, 1]")
     if rng.random() < eps:
         return int(rng.integers(0, len(qvals)))
-    return int(np.argmax(qvals))
+    return int(qvals.argmax())
 
 
 @dataclass(frozen=True)
@@ -136,7 +150,7 @@ def train(
     table = FeatureTable(returns_train, hp)
     rng = np.random.default_rng(hp.seed)
     net = qnet_init(returns_train.n_assets, hp, rng)
-    buffer = ReplayBuffer(hp.replay_capacity, net.n_inputs)
+    buffer = ReplayBuffer(hp.replay_capacity, table)
     eps = hp.eps_start
     log: list[EpisodeStats] = []
     global_step = 0
@@ -147,22 +161,21 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for episode in range(hp.episodes):
             state = env_reset(table, hp)
-            features = state_features(state, table)
             cum_reward = 0.0
             losses: list[float] = []
             done = False
             while not done:
+                features = state_features(state, table)
                 action = epsilon_greedy(qnet_forward(net, features), eps, rng)
                 next_state, reward, done = env_step(state, action, table, hp, trading_days)
-                next_features = state_features(next_state, table)
-                buffer.push(features, action, reward, next_features, done)
+                buffer.push(state, action, reward, next_state, done)
                 cum_reward += reward
                 if len(buffer) >= hp.batch_size:
                     batch = buffer.sample(rng, hp.batch_size)
                     targets = td_targets(batch, net, hp.discount)
                     loss = qnet_train_step(net, batch, targets, hp.learning_rate, global_step)
                     losses.append(loss)
-                state, features = next_state, next_features
+                state = next_state
                 global_step += 1
             mean_loss = float(np.mean(losses)) if losses else 0.0
             log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
@@ -192,7 +205,7 @@ def evaluate(
     weights[: state.t] = state.weights
     done = False
     while not done:
-        action = int(np.argmax(qnet_forward(net, state_features(state, table))))
+        action = int(qnet_forward(net, state_features(state, table)).argmax())
         next_state, _, done = env_step(state, action, table, hp, trading_days)
         weights[state.t : next_state.t] = next_state.weights
         state = next_state
@@ -203,9 +216,6 @@ def evaluate(
 
 def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:
     """CSV log: ``episode,cum_reward,mean_loss,epsilon``."""
-    write_float_csv(
-        path,
-        ["episode", "cum_reward", "mean_loss", "epsilon"],
-        np.array([[row.cum_reward, row.mean_loss, row.epsilon] for row in log]).reshape(-1, 3),
-        labels=[str(row.episode) for row in log],
-    )
+    header = ["episode", "cum_reward", "mean_loss", "epsilon"]
+    columns = [np.array([getattr(row, name) for row in log], dtype=float) for name in header[1:]]
+    write_float_csv(path, header, columns, labels=[str(row.episode) for row in log])

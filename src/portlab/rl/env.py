@@ -120,12 +120,16 @@ class FeatureTable:
         if not (np.all(self.values >= -1.0) and np.all(self.values <= 1.0)):
             raise ValueError("correlation features must lie in [-1, 1]")
 
-    def at(self, t: int) -> np.ndarray:
-        """Features of the window ending just before row ``t``."""
+    def row(self, t: int) -> int:
+        """Row ``k`` of ``values``: the window ending just before time index ``t``."""
         k, off = divmod(t - self.window, self.period)
         if off or not 0 <= k < self.values.shape[0]:
             raise ValueError(f"t={t} is not a time index this table covers")
-        return self.values[k]
+        return k
+
+    def at(self, t: int) -> np.ndarray:
+        """Features of the window ending just before row ``t``."""
+        return self.values[self.row(t)]
 
 
 def env_reset(table: FeatureTable, hp: Hyperparams) -> EnvState:

@@ -184,7 +184,7 @@ def _backprop(net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.nda
 def save_qnetwork(net: QNetwork, path: str | Path) -> None:
     """Write dims then parameters (row-major per layer, weights before biases)."""
     header = "qnetwork " + " ".join(str(d) for d in net.layer_dims)
-    write_float_csv(path, [header], net.params[:, None])
+    write_float_csv(path, [header], [net.params])
 
 
 def load_qnetwork(path: str | Path) -> QNetwork:

@@ -185,6 +185,8 @@ def _write_config(path, fixture_csv, extra: str = "") -> None:
         ("risk_free = nan", "risk_free"),
         ("mc_samples = 0", "mc_samples"),
         ("frontier_bins = 0", "frontier_bins"),
+        ("frontier_bins = 9223372036854775807", "frontier_bins"),
+        ("frontier_bins = 10000000000000000000", "frontier_bins"),
         ("trading_days = 0", "trading_days"),
     ],
 )

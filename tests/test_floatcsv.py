@@ -10,6 +10,7 @@ output file must match them byte for byte.
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -105,10 +106,34 @@ def test_frontier_csv_matches_reference(tmp_path, make):
 @pytest.mark.parametrize("make", [seeded_cloud, awkward_cloud], ids=["seeded", "awkward"])
 def test_frontier_curve_matches_reference(tmp_path, make):
     cloud = make()
-    rows = np.append(mvp.efficient_frontier(cloud, bins=20), 0)
-    mvp.write_frontier_rows(cloud, rows, tmp_path / "new.csv")
-    reference_frontier_rows(cloud, rows, tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    count = cloud.volatilities.shape[0]
+    selections = [
+        np.append(mvp.efficient_frontier(cloud, bins=20), 0),
+        np.arange(count)[::-1],  # the seeded cloud's rows span several blocks
+        slice(1, None, 3),
+        slice(None, None, -2),
+        slice(count, None),
+    ]
+    for rows in selections:
+        mvp.write_frontier_rows(cloud, rows, tmp_path / "new.csv")
+        picked = range(count)[rows] if isinstance(rows, slice) else rows
+        reference_frontier_rows(cloud, picked, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_frontier_csv_holds_one_block(tmp_path):
+    # the whole (10,000, 13) table stacked at once would take 1 MB alone
+    rng = np.random.default_rng(5)
+    sigma = np.cov(rng.normal(0, 0.01, size=(120, 10)), rowvar=False, ddof=1)
+    mu = rng.uniform(-0.1, 0.3, 10)
+    cloud = mvp.sample_portfolios(mu, cov_matrix(sigma), 10_000, 0.013, 17, 252)
+    tracemalloc.start()
+    try:
+        mvp.write_frontier_csv(cloud, tmp_path / "frontier.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_empty_frontier_curve_is_header_only(tmp_path):
@@ -154,7 +179,7 @@ def test_saved_qnetwork_matches_reference(tmp_path):
 
 def test_cells_are_shortest_repr(tmp_path):
     values = np.array([AWKWARD, [np.inf, -np.inf, np.nan, 2.0, 0.5, -1e-300, 1e22, 0.0]])
-    floatcsv.write_float_csv(tmp_path / "t.csv", [f"c{i}" for i in range(8)], values, ["x", "y"])
+    floatcsv.write_float_csv(tmp_path / "t.csv", [f"c{i}" for i in range(8)], [values], ["x", "y"])
     lines = (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
     assert lines[1] == "x,1e-05,1e+16,0.30000000000000004,-0.0,5e-324,1.7976931348623157e+308,1.0,123456789.125"
     assert lines[2] == "y,inf,-inf,nan,2.0,0.5,-1e-300,1e+22,0.0"
@@ -162,7 +187,10 @@ def test_cells_are_shortest_repr(tmp_path):
 
 
 def test_rejects_bad_shapes(tmp_path):
+    for columns in ([], [np.ones((2, 1, 1))], [np.ones(2), np.ones((3, 2))], np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            floatcsv.write_float_csv(tmp_path / "t.csv", ["a"], columns)
     with pytest.raises(ValueError):
-        floatcsv.write_float_csv(tmp_path / "t.csv", ["a"], np.array([1.0, 2.0]))
+        floatcsv.write_float_csv(tmp_path / "t.csv", ["d", "a"], [np.ones((2, 1))], labels=["x"])
     with pytest.raises(ValueError):
-        floatcsv.write_float_csv(tmp_path / "t.csv", ["d", "a"], np.ones((2, 1)), labels=["x"])
+        floatcsv.write_float_csv(tmp_path / "t.csv", ["d", "a"], [np.ones(3)], ["x"], rows=[0, 1])

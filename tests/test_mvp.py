@@ -131,13 +131,33 @@ class TestSamplePortfolios:
 
 class TestFrontierCloudInvariants:
     def test_arrays_are_read_only_copies(self):
-        weights = np.array([[0.5, 0.5]])
-        cloud = mvp.FrontierCloud(
-            np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, risk_free=0.01
-        )
-        weights[0, 0] = 7.0
-        assert cloud.weights.tolist() == [[0.5, 0.5]]
-        for values in (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights):
+        # a list, another dtype and a view of a writable array are copied,
+        # so writing to what the caller holds leaves the cloud unchanged
+        table = np.array([[0.5, 0.5, 0.1]])
+        for weights in ([[0.5, 0.5]], np.array([[0.5, 0.5]], dtype=np.float32), table[:, :2]):
+            cloud = mvp.FrontierCloud(
+                np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, risk_free=0.01
+            )
+            weights[0][0] = 7.0
+            assert cloud.weights.tolist() == [[0.5, 0.5]]
+            assert cloud.weights.dtype == np.float64
+            for values in (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights):
+                assert not values.flags.writeable
+
+    def test_sampled_arrays_are_held_not_copied(self, monkeypatch):
+        made = []
+        cloud_type = mvp.FrontierCloud
+
+        def capture(*args, **kwargs):
+            made.append(args[:4])
+            return cloud_type(*args, **kwargs)
+
+        monkeypatch.setattr(mvp, "FrontierCloud", capture)
+        mu, sigma = synthetic_ten_asset_case()
+        cloud = sample_cloud(mu, sigma, 2500, 0.01, seed=3)
+        held = (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights)
+        for values, given_values in zip(held, made[0]):
+            assert values is given_values
             assert not values.flags.writeable
 
     def test_off_simplex_row_rejected(self):

@@ -10,6 +10,7 @@ for bit, since it only changes how the same data is stored.
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -185,10 +186,23 @@ def test_feature_table_too_short_raises():
     FeatureTable(random_returns(rng, hp.window + hp.rebalance_period + 1, 3), hp)
 
 
+def _replay_table(n_assets: int = 3, n_rows: int = 47) -> FeatureTable:
+    returns = random_returns(np.random.default_rng(5), n_rows, n_assets)
+    return FeatureTable(returns, _small_hp(window=7, rebalance_period=4))
+
+
+def _pushed_weights(p: int) -> np.ndarray:
+    return np.array([p, 1.0, 4 - p]) / 5
+
+
 def test_replay_buffer_ring_order_and_sampling():
-    buffer = ReplayBuffer(3, 2)
+    table = _replay_table()
+    buffer = ReplayBuffer(3, table)
     for p in range(5):
-        buffer.push(np.full(2, p), p, float(p), np.full(2, -p), p % 2 == 1)
+        # the next state's window is two rows on, so k_next is not k + 1
+        state = EnvState(_pushed_weights(p), table.window + p * table.period)
+        next_state = EnvState(_pushed_weights(p)[::-1], table.window + (p + 2) * table.period)
+        buffer.push(state, p, float(p), next_state, p % 2 == 1)
         assert len(buffer) == min(p + 1, 3)
     # pushes 3 and 4 overwrote slots 0 and 1; slot 2 still holds push 2
     batch = buffer.sample(np.random.default_rng(0), 64)
@@ -196,22 +210,50 @@ def test_replay_buffer_ring_order_and_sampling():
     pushed = np.array([3, 4, 2])[slots]
     assert np.array_equal(batch.actions, pushed)
     assert np.array_equal(batch.rewards, pushed.astype(float))
-    assert np.array_equal(batch.states, np.repeat(pushed[:, None], 2, axis=1).astype(float))
-    assert np.array_equal(batch.next_states, -batch.states)
+    want = np.array([np.concatenate([table.values[p], _pushed_weights(p)]) for p in pushed])
+    want_next = np.array(
+        [np.concatenate([table.values[p + 2], _pushed_weights(p)[::-1]]) for p in pushed]
+    )
+    assert np.array_equal(batch.states, want)
+    assert np.array_equal(batch.next_states, want_next)
     assert np.array_equal(batch.dones, pushed % 2 == 1)
+    # the network sees the two halves of one (batch, 2 * state_dim) array
+    dim = want.shape[1]
+    assert batch.states.strides == batch.next_states.strides == (2 * dim * 8, 8)
+    assert batch.states.base is batch.next_states.base is not None
 
 
 @pytest.mark.parametrize("reward", [math.nan, math.inf])
 def test_replay_buffer_rejects_non_finite_reward(reward):
-    buffer = ReplayBuffer(4, 2)
+    table = _replay_table()
+    buffer = ReplayBuffer(4, table)
+    state = env_reset(table, _small_hp(window=7, rebalance_period=4))
     with pytest.raises(ValueError, match="finite"):
-        buffer.push(np.zeros(2), 0, reward, np.zeros(2), False)
+        buffer.push(state, 0, reward, state, False)
     assert len(buffer) == 0
 
 
 def test_replay_buffer_rejects_zero_capacity():
     with pytest.raises(ValueError):
-        ReplayBuffer(0, 2)
+        ReplayBuffer(0, _replay_table())
+
+
+def test_replay_buffer_memory_is_linear_in_assets():
+    # at 200 assets a state has 19,900 correlation features; storing both
+    # feature vectors per slot would allocate 2 x 20,100 x 8 B x 100 = 32 MB
+    table = _replay_table(n_assets=200, n_rows=15)
+    state = EnvState(np.full(200, 1 / 200), table.window)
+    next_state = EnvState(np.full(200, 1 / 200), table.window + table.period)
+    tracemalloc.start()
+    try:
+        buffer = ReplayBuffer(100, table)
+        for p in range(100):
+            buffer.push(state, p % 401, 1.0, next_state, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buffer) == 100
+    assert peak < 2**20
 
 
 def test_divergence_raises_without_numpy_warnings():
