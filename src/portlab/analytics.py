@@ -24,10 +24,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError, NonFiniteError, UndefinedSharpeError
+from .errors import InsufficientDataError, NonFiniteError, UndefinedSharpeError
 
 if TYPE_CHECKING:
-    from .backtest import WeightSchedule
     from .market_data import PriceTable
 
 VARIANCE_FLOOR = 1e-12
@@ -262,22 +261,29 @@ def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float
 
 
 def schedule_returns(
-    returns: ReturnTable, schedule: WeightSchedule
+    returns: ReturnTable, weights: np.ndarray
 ) -> tuple[np.ndarray, CumulativeCurve]:
-    """Daily returns of a (possibly dynamic) weight schedule and their curve.
+    """Daily returns of a weight schedule and their compounded curve.
 
-    The one place portfolio daily returns are computed: the schedule must
-    be dated exactly as the return rows (else :class:`AlignmentError`);
-    its rows are weighted and summed per day, then compounded as
+    The one place portfolio daily returns are computed. ``weights`` is
+    either one ``(N,)`` row held on every date or one ``(T, N)`` row per
+    return row; a held row is broadcast, which gives the same bits as its
+    tile. Every row must lie on the simplex. A wrong shape or an
+    off-simplex row is the caller's bug, so it raises ``ValueError``.
+    Each day's returns are weighted and summed, then compounded as
     ``prod(1 + r) - 1``. Raises :class:`NonFiniteError` if the compounded
     curve leaves the float64 range.
     """
-    if schedule.dates != returns.dates:
-        raise AlignmentError(
-            f"the {len(schedule.dates)} schedule dates are not the {returns.n_rows} return dates"
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape not in ((returns.n_assets,), returns.values.shape):
+        raise ValueError(
+            f"weights of shape {weights.shape} are neither one row of {returns.n_assets} "
+            f"nor one row per return row {returns.values.shape}"
         )
+    if not on_simplex(weights):
+        raise ValueError("every weight row must lie on the simplex")
     with np.errstate(over="ignore", invalid="ignore"):
-        daily = (returns.values * schedule.weights).sum(axis=1)
+        daily = (returns.values * weights).sum(axis=1)
         values = np.cumprod(1.0 + daily) - 1.0
     bad = ~np.isfinite(values)
     if bad.any():

@@ -1,7 +1,8 @@
-"""Backtesting over weight schedules and cross-method comparison tables.
+"""Backtesting weight schedules, and cross-method comparison tables.
 
-A schedule is static for equal-weight/MVP/HRP (weights fitted once on
-the train split and held) and dynamic for the RL agent. Reports capture
+A schedule is an array of weights: one ``(N,)`` row held on every date
+for equal weight, MVP and HRP (fitted once on the train split), or one
+``(T, N)`` row per return row for the RL agent. Reports capture
 annualized risk, Sharpe, and the compounded cumulative-return curve for
 one (method, phase) pair; the comparison table collects test-phase
 Sharpe ratios in the fixed column order MVP, HRP, EQUAL, RL.
@@ -18,32 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import (
-    CumulativeCurve, ReturnTable, annualize, on_simplex, schedule_returns, sharpe_ratio
-)
+from .analytics import CumulativeCurve, ReturnTable, annualize, schedule_returns, sharpe_ratio
 from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
-from .mvp import Portfolio
 
 METHOD_ORDER = ("MVP", "HRP", "EQUAL", "RL")
-
-
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Per-date weight rows, each on the unit simplex."""
-
-    dates: tuple[date, ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != len(self.dates):
-            raise ValueError("weights must be one row per date")
-        if not on_simplex(weights):
-            raise ValueError("every schedule row must lie on the simplex")
-        weights.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -72,13 +52,8 @@ class BacktestReport:
             raise ValueError("stored Sharpe inconsistent with return/risk/risk-free")
 
 
-def static_schedule(portfolio: Portfolio, dates: tuple[date, ...]) -> WeightSchedule:
-    """Repeat fixed weights over every date."""
-    return WeightSchedule(dates, np.tile(portfolio.weights, (len(dates), 1)))
-
-
 def run_backtest(
-    schedule: WeightSchedule,
+    weights: np.ndarray,
     returns: ReturnTable,
     risk_free: float,
     trading_days: int,
@@ -93,7 +68,7 @@ def run_backtest(
     risk from :func:`portlab.analytics.annualize`. Raises
     :class:`NonFiniteError` if either overflows float64.
     """
-    daily, curve = schedule_returns(returns, schedule)
+    daily, curve = schedule_returns(returns, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         annual_return, annual_risk = annualize(daily, trading_days)
     if not (math.isfinite(annual_return) and math.isfinite(annual_risk)):

@@ -18,6 +18,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
@@ -57,8 +59,8 @@ def cmd_mvp(config: RunConfig) -> None:
     ew = mvp.equal_weight(data.tickers)
     write_portfolio_json(ew, "EQUAL", out / "equal_weights.json")
 
-    _write_reports("MVP", _static(mvp_portfolio), data, config, out)
-    _write_reports("EQUAL", _static(ew), data, config, out)
+    _write_reports("MVP", lambda _: mvp_portfolio.weights, data, config, out)
+    _write_reports("EQUAL", lambda _: ew.weights, data, config, out)
 
 
 def cmd_hrp(config: RunConfig) -> None:
@@ -73,7 +75,7 @@ def cmd_hrp(config: RunConfig) -> None:
     )
     write_portfolio_json(portfolio, "HRP", out / "hrp_weights.json")
 
-    _write_reports("HRP", _static(portfolio), data, config, out)
+    _write_reports("HRP", lambda _: portfolio.weights, data, config, out)
 
 
 def cmd_rl_train(config: RunConfig) -> None:
@@ -100,12 +102,13 @@ def cmd_rl_eval(config: RunConfig) -> None:
             f"actions; {n} assets need {feature_dim(n)} and {num_actions(n)}"
         )
 
-    schedule, report = _write_reports(
+    weights, report = _write_reports(
         "RL", lambda r: evaluate(net, r, config.rl, config.trading_days), data, config, out
     )
     curve = report.curve
     _write_repr_column(out / "rl_curve.csv", "date,cumulative_return", curve.dates, curve.values)
-    _write_schedule_csv(schedule, data.tickers, out / "rl_schedule.csv")
+    header = ["date", *data.tickers]
+    write_float_csv(out / "rl_schedule.csv", header, [weights], labels=data.test_returns.dates)
 
 
 def cmd_compare(config: RunConfig) -> None:
@@ -138,30 +141,25 @@ def _ensure_out(config: RunConfig) -> Path:
     return out
 
 
-_ScheduleFor = Callable[[analytics.ReturnTable], backtest.WeightSchedule]
-
-
-def _static(portfolio: mvp.Portfolio) -> _ScheduleFor:
-    """Schedule maker holding ``portfolio``'s weights on every date."""
-    return lambda returns: backtest.static_schedule(portfolio, returns.dates)
-
-
 def _write_reports(
     method: str,
-    schedule_for: _ScheduleFor,
+    weights_for: Callable[[analytics.ReturnTable], np.ndarray],
     data: _PreparedData,
     config: RunConfig,
     out: Path,
-) -> tuple[backtest.WeightSchedule, backtest.BacktestReport]:
-    """Score ``schedule_for(returns)`` on the train then the test split.
+) -> tuple[np.ndarray, backtest.BacktestReport]:
+    """Score ``weights_for(returns)`` on the train then the test split.
 
-    Writes ``report_<method>_<phase>.json`` for each and returns the
-    test-phase schedule and report.
+    The weights are one ``(N,)`` row held on every date (the static
+    methods return their portfolio's weights whatever the table) or one
+    ``(T, N)`` row per return row (the RL agent's rollout). Writes
+    ``report_<method>_<phase>.json`` for each split and returns the
+    test-phase weights and report.
     """
     for phase, returns in (("train", data.train_returns), ("test", data.test_returns)):
-        schedule = schedule_for(returns)
+        weights = weights_for(returns)
         report = backtest.run_backtest(
-            schedule,
+            weights,
             returns,
             config.risk_free,
             config.trading_days,
@@ -170,7 +168,7 @@ def _write_reports(
             dataset=data.dataset,
         )
         backtest.write_report(report, out / f"report_{method}_{phase}.json")
-    return schedule, report
+    return weights, report
 
 
 def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> None:
@@ -192,13 +190,6 @@ def _write_repr_column(path: Path, header: str, labels: Iterable, values: Iterab
     lines = [header]
     lines += [f"{label},{v!r}" for label, v in zip(labels, values)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_schedule_csv(
-    schedule: backtest.WeightSchedule, tickers: tuple[str, ...], path: Path
-) -> None:
-    dates = [d.isoformat() for d in schedule.dates]
-    write_float_csv(path, ["date", *tickers], [schedule.weights], labels=dates)
 
 
 _COMMANDS = {

@@ -42,10 +42,6 @@ class DivergenceError(PortlabError):
     """Training produced a non-finite loss."""
 
 
-class AlignmentError(PortlabError):
-    """Weight schedule dates are not exactly the return dates."""
-
-
 class ConfigError(PortlabError):
     """A run-config file is missing a required key or has a bad value."""
 

@@ -25,7 +25,7 @@ def write_float_csv(
     path: str | Path,
     header: Sequence[str],
     columns: Sequence[np.ndarray],
-    labels: Sequence[str] | None = None,
+    labels: Sequence | None = None,
     rows: np.ndarray | slice | None = None,
 ) -> None:
     """Write ``header`` and one line per selected row of the column pieces.
@@ -33,9 +33,9 @@ def write_float_csv(
     ``columns`` are 1-D or 2-D arrays with the same number of rows, laid
     side by side in order. ``rows``, when given, selects and orders the
     rows written (an index array or a slice); by default every row is.
-    ``labels``, when given, holds one leading cell per written row (for
-    example ISO dates); ``header`` then names that column too. Lines end
-    in ``\\n`` and cells are never quoted.
+    ``labels``, when given, holds one leading cell per written row,
+    formatted by ``str`` (ISO for a date); ``header`` then names that
+    column too. Lines end in ``\\n`` and cells are never quoted.
     """
     # a bare 2-D array would iterate as one column piece per row
     if isinstance(columns, np.ndarray):

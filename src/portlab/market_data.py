@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -110,7 +111,9 @@ def load_prices(path: str | Path) -> PriceTable:
         if len(tickers) < 2:
             raise SchemaError(f"{path}: need at least 2 ticker columns, got {len(tickers)}")
         # the CSV outputs write tickers unquoted
-        for ticker in tickers:
+        for column, ticker in enumerate(tickers, start=2):
+            if not ticker:
+                raise SchemaError(f"{path}: column {column} has an empty ticker name")
             if any(c in ticker for c in ',"\r\n'):
                 raise SchemaError(
                     f"{path}: ticker {ticker!r} holds a comma, quote or line break"
@@ -200,30 +203,18 @@ def forward_fill(table: PriceTable) -> PriceTable:
 
 
 def split_by_date(table: PriceTable, split: DateSplit) -> tuple[PriceTable, PriceTable]:
-    """Partition rows into train (date <= train_end) and test (date >= test_start)."""
-    dates = np.array(table.dates)
-    train_mask = dates <= split.train_end
-    test_mask = dates >= split.test_start
-    n_train = int(train_mask.sum())
-    n_test = int(test_mask.sum())
-    if n_train == 0 or n_test == 0:
-        raise SplitError(
-            f"split {split.train_end}/{split.test_start} leaves an empty partition "
-            f"(train={n_train}, test={n_test})"
-        )
+    """Partition rows into train (date <= train_end) and test (date >= test_start).
+
+    The dates are strictly increasing, so train is a prefix and test a suffix.
+    """
+    n_train = bisect_right(table.dates, split.train_end)
+    first_test = bisect_left(table.dates, split.test_start)
+    n_test = table.n_rows - first_test
     if n_train < 3 or n_test < 3:
         raise SplitError(
             f"split {split.train_end}/{split.test_start} leaves a partition below "
             f"3 rows (train={n_train}, test={n_test})"
         )
-    train = PriceTable(
-        tuple(d for d, m in zip(table.dates, train_mask) if m),
-        table.tickers,
-        table.closes[train_mask],
-    )
-    test = PriceTable(
-        tuple(d for d, m in zip(table.dates, test_mask) if m),
-        table.tickers,
-        table.closes[test_mask],
-    )
+    train = PriceTable(table.dates[:n_train], table.tickers, table.closes[:n_train])
+    test = PriceTable(table.dates[first_test:], table.tickers, table.closes[first_test:])
     return train, test

@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..analytics import ReturnTable
-from ..backtest import WeightSchedule
 from ..errors import DivergenceError
 from ..floatcsv import write_float_csv
 from .env import EnvState, FeatureTable, env_reset, env_step, state_features
@@ -190,13 +189,13 @@ def train(
 
 def evaluate(
     net: QNetwork, returns_test: ReturnTable, hp: Hyperparams, trading_days: int
-) -> WeightSchedule:
-    """Roll the greedy policy over the test table.
+) -> np.ndarray:
+    """Roll the greedy policy over the test table; return one weight row per return row.
 
-    The emitted schedule covers every test date: equal weights during the
-    initial lookback window, each action's adjusted weights for the days
-    they were held, and the final weights over any trailing remainder.
-    Scoring it is :func:`portlab.backtest.run_backtest`'s job.
+    The ``(T, N)`` schedule covers every test date: equal weights during
+    the initial lookback window, each action's adjusted weights for the
+    days they were held, and the final weights over any trailing
+    remainder. Scoring it is :func:`portlab.backtest.run_backtest`'s job.
     """
     n_rows, n_assets = returns_test.values.shape
     weights = np.empty((n_rows, n_assets))
@@ -210,8 +209,7 @@ def evaluate(
         weights[state.t : next_state.t] = next_state.weights
         state = next_state
     weights[state.t :] = state.weights
-
-    return WeightSchedule(returns_test.dates, weights)
+    return weights
 
 
 def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:

@@ -7,19 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_returns, make_table
 from portlab import analytics
-from portlab.backtest import WeightSchedule, static_schedule
 from portlab.errors import (
-    AlignmentError,
     InsufficientDataError,
     NonFiniteError,
     UndefinedSharpeError,
 )
 from portlab.mvp import equal_weight
-from portlab.synthetic import weekday_dates
 
 
-def _curve(returns, schedule):
-    return analytics.schedule_returns(returns, schedule)[1]
+def _curve(returns, weights):
+    return analytics.schedule_returns(returns, weights)[1]
 
 
 class TestReturns:
@@ -217,53 +214,59 @@ class TestSharpe:
 class TestCumulativeReturns:
     def test_constant_returns_compound(self):
         rets = make_returns(np.full((3, 2), 0.01))
-        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
-        curve = _curve(rets, schedule)
+        curve = _curve(rets, equal_weight(rets.tickers).weights)
         assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
 
     def test_zero_returns_flat(self):
         rets = make_returns(np.zeros((4, 2)))
-        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
-        assert np.all(_curve(rets, schedule).values == 0.0)
+        assert np.all(_curve(rets, equal_weight(rets.tickers).weights).values == 0.0)
 
     def test_single_asset_passthrough(self, rng):
         values = rng.normal(0.001, 0.01, size=(10, 3))
         rets = make_returns(values)
-        from portlab.mvp import Portfolio
-
-        schedule = static_schedule(
-            Portfolio(rets.tickers, np.array([0.0, 1.0, 0.0])), rets.dates
-        )
-        curve = _curve(rets, schedule)
+        curve = _curve(rets, np.array([0.0, 1.0, 0.0]))
         expect = np.cumprod(1 + values[:, 1]) - 1
         assert curve.values == pytest.approx(expect, abs=1e-14)
 
     def test_equal_weights_match_row_mean_compounding(self, rng):
         values = rng.normal(0.0, 0.02, size=(15, 5))
         rets = make_returns(values)
-        schedule = static_schedule(equal_weight(rets.tickers), rets.dates)
-        curve = _curve(rets, schedule)
+        curve = _curve(rets, equal_weight(rets.tickers).weights)
         expect = np.cumprod(1 + values.mean(axis=1)) - 1
         assert np.max(np.abs(curve.values - expect)) < 1e-12
 
-    def test_misaligned_schedule_errors(self):
-        rets = make_returns(np.zeros((4, 2)))
-        other_dates = weekday_dates(rets.dates[0].replace(year=2021), 4)
-        schedule = WeightSchedule(other_dates, np.full((4, 2), 0.5))
-        with pytest.raises(AlignmentError):
-            _curve(rets, schedule)
-
     def test_superset_schedule_errors(self):
-        # the schedule must be dated exactly as the returns, not merely cover them
+        # a schedule must hold one row per return row, not merely cover them
         rets = make_returns(np.full((3, 2), 0.01))
-        schedule = WeightSchedule(weekday_dates(rets.dates[0], 5), np.full((5, 2), 0.5))
-        with pytest.raises(AlignmentError):
-            _curve(rets, schedule)
+        with pytest.raises(ValueError, match="one row per return row"):
+            _curve(rets, np.full((5, 2), 0.5))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (1, 2), (4, 2, 1), ()], ids=str)
+    def test_schedule_of_another_shape_errors(self, shape):
+        rets = make_returns(np.full((4, 2), 0.01))
+        weights = np.full(shape, 1.0 / shape[-1] if shape else 1.0)
+        with pytest.raises(ValueError, match="one row per return row"):
+            _curve(rets, weights)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_held_row_gives_the_bits_of_its_tile(self, n_rows, n_assets, seed):
+        # the static methods pass one row, which is broadcast; a tiled
+        # schedule must give the same daily returns and curve, bit for bit
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 0, size=n_assets)
+        rets = make_returns(rng.normal(0.0, 1.0, size=(n_rows, n_assets)) * scale)
+        draws = rng.uniform(0.0, 1.0, size=n_assets) + 1e-3
+        row = draws / draws.sum()
+        daily, curve = analytics.schedule_returns(rets, row)
+        tiled_daily, tiled_curve = analytics.schedule_returns(rets, np.tile(row, (n_rows, 1)))
+        assert np.array_equal(daily, tiled_daily)
+        assert np.array_equal(curve.values, tiled_curve.values)
 
     def test_daily_returns_are_weighted_row_sums(self, rng):
         values = rng.normal(0.0, 0.02, size=(12, 3))
         rets = make_returns(values)
         weights = rng.dirichlet(np.ones(3), size=12)
-        daily, curve = analytics.schedule_returns(rets, WeightSchedule(rets.dates, weights))
+        daily, curve = analytics.schedule_returns(rets, weights)
         assert np.array_equal(daily, (values * weights).sum(axis=1))
         assert np.array_equal(curve.values, np.cumprod(1.0 + daily) - 1.0)

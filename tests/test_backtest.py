@@ -12,14 +12,7 @@ import pytest
 
 from helpers import make_returns
 from portlab.analytics import CumulativeCurve
-from portlab.backtest import (
-    BacktestReport,
-    WeightSchedule,
-    compare_methods,
-    run_backtest,
-    static_schedule,
-    write_comparison_csv,
-)
+from portlab.backtest import BacktestReport, compare_methods, run_backtest, write_comparison_csv
 from portlab.errors import NonFiniteError
 from portlab.mvp import equal_weight
 from portlab.synthetic import weekday_dates
@@ -90,14 +83,17 @@ def test_risk_must_be_positive(risk):
     "row", [[0.5, 0.6], [np.nan, 1.0], [1.5, -0.5]], ids=["off-simplex", "nan", "negative"]
 )
 def test_schedule_rejects_rows_off_the_simplex(row):
-    with pytest.raises(ValueError, match="simplex"):
-        WeightSchedule(weekday_dates(date(2019, 1, 1), 2), np.array([[0.5, 0.5], row]))
+    # as the one row held on every date, and as one row of a per-date schedule
+    returns = make_returns([[0.01, 0.02], [0.0, -0.01]])
+    for weights in (np.array(row), np.array([[0.5, 0.5], row])):
+        with pytest.raises(ValueError, match="simplex"):
+            run_backtest(weights, returns, 0.01, 252, method="RL", phase="test", dataset="d")
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_risk_raises_non_finite_error():
     # every daily return and the curve are finite, but squared deviations overflow
     returns = make_returns([[1e200], [-1.0], [1e200]])
-    schedule = static_schedule(equal_weight(returns.tickers), returns.dates)
+    weights = equal_weight(returns.tickers).weights
     with pytest.raises(NonFiniteError, match="annual return or risk of MVP"):
-        run_backtest(schedule, returns, 0.01, 252, method="MVP", phase="test", dataset="d")
+        run_backtest(weights, returns, 0.01, 252, method="MVP", phase="test", dataset="d")

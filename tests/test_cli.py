@@ -1,8 +1,8 @@
 """CLI behaviour end to end.
 
 Bad input (a malformed saved model or report, an out-of-range config
-value, a file that is not UTF-8, prices whose returns or statistics
-overflow) gives exit 1 and one ``error:`` line; a full pipeline run writes
+value, a file that is not UTF-8, an empty ticker name, prices whose
+returns or statistics overflow) gives exit 1 and one ``error:`` line; a full pipeline run writes
 the same bytes every time; the configured ``trading_days`` reaches the
 agent's reward; the bundled fixture regenerates byte for byte.
 """
@@ -168,6 +168,25 @@ def test_non_utf8_input_gives_one_line_error(tmp_path, fixture_csv, capsys, comm
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert str(target) in err[0]
+
+
+def test_empty_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
+    # a trailing header comma names a priced column ""
+    lines = fixture_csv.read_text(encoding="utf-8").splitlines()
+    prices = tmp_path / "prices.csv"
+    prices.write_text(
+        "\n".join([lines[0] + ","] + [line + ",50.0" for line in lines[1:]]) + "\n",
+        encoding="utf-8",
+    )
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices)
+    out = tmp_path / "out"
+    code = cli.main(["hrp", "--config", str(config), "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"{prices}: column {FIXTURE_ASSETS + 2} has an empty ticker name" in err[0]
+    assert not out.exists()
 
 
 def _write_config(path, fixture_csv, extra: str = "") -> None:

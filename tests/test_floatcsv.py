@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from helpers import cov_matrix
-from portlab import cli, floatcsv, mvp
-from portlab.backtest import WeightSchedule
+from portlab import floatcsv, mvp
 from portlab.rl.agent import EpisodeStats, write_training_log
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams
@@ -50,9 +49,9 @@ def _row_cells(cloud: mvp.FrontierCloud, i: int) -> list:
     return [cloud.volatilities[i], cloud.returns[i], cloud.sharpes[i], *cloud.weights[i]]
 
 
-def reference_schedule_csv(schedule: WeightSchedule, tickers, path) -> None:
+def reference_schedule_csv(dates, weights, tickers, path) -> None:
     lines = ["date," + ",".join(tickers)]
-    for d, row in zip(schedule.dates, schedule.weights):
+    for d, row in zip(dates, weights):
         lines.append(d.isoformat() + "," + ",".join(repr(float(w)) for w in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -149,10 +148,11 @@ def test_schedule_csv_matches_reference(tmp_path, n_rows):
     draws = rng.uniform(size=(n_rows, 4))
     weights = draws / draws.sum(axis=1, keepdims=True)
     weights[0] = [1e-05, 0.1 + 0.2, 0.7 - 1e-05, 0.0]
-    schedule = WeightSchedule(weekday_dates(date(2015, 1, 1), n_rows), weights)
+    dates = weekday_dates(date(2015, 1, 1), n_rows)
     tickers = ("A", "B", "C", "D")
-    cli._write_schedule_csv(schedule, tickers, tmp_path / "new.csv")
-    reference_schedule_csv(schedule, tickers, tmp_path / "ref.csv")
+    # the call cli.cmd_rl_eval makes, labelled by the return table's dates
+    floatcsv.write_float_csv(tmp_path / "new.csv", ["date", *tickers], [weights], labels=dates)
+    reference_schedule_csv(dates, weights, tickers, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

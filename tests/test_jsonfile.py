@@ -34,9 +34,14 @@ def test_bytes_match_reference(tmp_path):
 
 def test_report_bytes_match_reference(tmp_path):
     returns = random_returns(np.random.default_rng(3), 30, 3)
-    schedule = backtest.static_schedule(equal_weight(returns.tickers), returns.dates)
     report = backtest.run_backtest(
-        schedule, returns, 0.01, 252, method="EQUAL", phase="test", dataset="d"
+        equal_weight(returns.tickers).weights,
+        returns,
+        0.01,
+        252,
+        method="EQUAL",
+        phase="test",
+        dataset="d",
     )
     path = tmp_path / "report.json"
     backtest.write_report(report, path)

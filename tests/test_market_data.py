@@ -59,6 +59,16 @@ class TestLoadPrices:
         with pytest.raises(SchemaError):
             load_prices(_write(tmp_path, THREE_ROWS.replace("date,", "day,")))
 
+    @pytest.mark.parametrize(
+        ("header", "column"), [("date,A,B,", 4), ("date,A, ,B", 3), ("date,,A,B", 2)]
+    )
+    def test_empty_ticker_is_schema_error(self, tmp_path, header, column):
+        rows = "".join(f"2019-01-0{d},100,200,300\n" for d in (1, 2, 3))
+        path = _write(tmp_path, header + "\n" + rows)
+        with pytest.raises(SchemaError, match=f"column {column} has an empty ticker") as exc:
+            load_prices(path)
+        assert str(path) in str(exc.value)
+
     def test_non_monotone_dates(self, tmp_path):
         text = (
             "date,A,B\n"
@@ -174,6 +184,26 @@ class TestSplitByDate:
         table = make_table(np.linspace(100, 120, 20).reshape(10, 2))
         with pytest.raises(SplitError):
             split_by_date(table, DateSplit(date(2018, 1, 1), date(2018, 1, 2)))
+
+    def test_rows_between_the_boundaries_are_dropped(self):
+        table = make_table(np.linspace(100, 120, 28).reshape(14, 2))
+        # two Saturdays, so neither boundary is a row's date
+        train, test = split_by_date(table, DateSplit(date(2019, 1, 5), date(2019, 1, 12)))
+        assert train.dates == table.dates[:4]
+        assert test.dates == table.dates[9:]
+        assert np.array_equal(test.closes, table.closes[9:])
+
+    @pytest.mark.parametrize(
+        ("train_end", "n_train", "n_test"), [(-1, 0, 10), (1, 2, 8), (7, 8, 2)]
+    )
+    def test_short_partition_message_gives_both_counts(self, train_end, n_train, n_test):
+        table = make_table(np.linspace(100, 120, 20).reshape(10, 2))
+        if train_end < 0:
+            split = DateSplit(date(2018, 1, 1), date(2018, 1, 2))
+        else:
+            split = DateSplit(table.dates[train_end], table.dates[train_end + 1])
+        with pytest.raises(SplitError, match=f"train={n_train}, test={n_test}"):
+            split_by_date(table, split)
 
     def test_reversed_split_rejected(self):
         with pytest.raises(SplitError):

@@ -20,9 +20,9 @@ import pytest
 import portlab.rl.env
 from helpers import random_returns
 from oracles import loss_and_grads, td_target
-from portlab.analytics import ReturnTable, annualize, correlation_values
+from portlab.analytics import ReturnTable, annualize, correlation_values, on_simplex
 from portlab.errors import DivergenceError, InsufficientDataError, NonFiniteError
-from portlab.rl.agent import EpisodeStats, ReplayBuffer, epsilon_greedy, train
+from portlab.rl.agent import EpisodeStats, ReplayBuffer, epsilon_greedy, evaluate, train
 from portlab.rl.env import (
     VOL_FLOOR,
     EnvState,
@@ -333,3 +333,21 @@ def test_env_step_rejects_non_finite_reward():
         with pytest.raises(NonFiniteError, match="reward over"):
             env_step(state, hold_action(3), table, hp, 252)
 
+
+
+def test_evaluate_gives_one_simplex_row_per_return_row():
+    # 49 rows, window 7, period 4: blocks start at 7, 11, ..., 43, and the
+    # rows 47 and 48 after the last step keep the last block's weights
+    returns = random_returns(np.random.default_rng(8), 49, 4)
+    hp = _small_hp(window=7, rebalance_period=4)
+    net = qnet_init(returns.n_assets, hp, np.random.default_rng(hp.seed))
+    weights = evaluate(net, returns, hp, 252)
+    assert weights.shape == (returns.n_rows, returns.n_assets)
+    assert np.all(weights[: hp.window] == 0.25)
+    for start in range(hp.window, 44, hp.rebalance_period):
+        block = weights[start : start + hp.rebalance_period]
+        assert np.all(block == block[0])
+    assert np.all(weights[43:] == weights[43])
+    assert not np.all(weights == 0.25)  # the greedy policy moved the weights
+    assert all(on_simplex(row) for row in weights)
+    assert np.array_equal(evaluate(net, returns, hp, 252), weights)
