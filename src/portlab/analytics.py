@@ -12,7 +12,9 @@ Conventions, fixed once so golden values stay stable:
   sums to 1 within ``SIMPLEX_TOL``, a NaN failing both;
   :func:`on_simplex` is the one check, applied row by row;
 * correlation entries involving a (near-)constant column are 0, never NaN,
-  with variances floored at ``VARIANCE_FLOOR`` wherever they divide.
+  with variances floored at ``VARIANCE_FLOOR`` wherever they divide;
+* statistics are plain arrays (the ``(n, n)`` covariance and correlation,
+  the ``(T,)`` curve), each checked once by the function that produces it.
 """
 
 from __future__ import annotations
@@ -59,76 +61,6 @@ class ReturnTable:
     @property
     def n_assets(self) -> int:
         return len(self.tickers)
-
-
-def freeze_square_matrix(matrix, label: str) -> np.ndarray:
-    """Store ``matrix``'s values as a read-only float copy and its tickers as a tuple.
-
-    The values must be n x n over the n tickers, finite and symmetric within
-    1e-12. Returns them for the caller's own diagonal and range checks.
-    """
-    values = np.array(matrix.values, dtype=float)
-    n = len(matrix.tickers)
-    if values.shape != (n, n):
-        raise ValueError(f"{label} matrix shape does not match tickers")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{label} entries must be finite")
-    if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
-        raise ValueError(f"{label} matrix must be symmetric within 1e-12")
-    values.setflags(write=False)
-    object.__setattr__(matrix, "tickers", tuple(matrix.tickers))
-    object.__setattr__(matrix, "values", values)
-    return values
-
-
-@dataclass(frozen=True)
-class CovMatrix:
-    """Sample covariance of daily returns (daily variance units)."""
-
-    tickers: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = freeze_square_matrix(self, "covariance")
-        if not np.all(np.diag(values) >= 0):
-            raise ValueError("covariance diagonal must be non-negative")
-        # rounding leaves eigenvalues of a singular matrix about eps * scale below 0
-        scale = max(1.0, float(np.max(np.diag(values), initial=0.0)))
-        if not np.linalg.eigvalsh(values).min() >= -1e-9 * scale:
-            raise ValueError("covariance matrix must be positive semidefinite")
-
-
-@dataclass(frozen=True)
-class CorrMatrix:
-    """Pearson correlations of daily returns, dimensionless."""
-
-    tickers: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = freeze_square_matrix(self, "correlation")
-        if not np.all(np.diag(values) == 1.0):
-            raise ValueError("correlation diagonal must be exactly 1")
-        if not np.all((values >= -1.0) & (values <= 1.0)):
-            raise ValueError("correlation entries must lie in [-1, 1]")
-
-
-@dataclass(frozen=True)
-class CumulativeCurve:
-    """Compounded cumulative return per date: ``prod(1 + r) - 1`` up to each day."""
-
-    dates: tuple[date, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.dates),):
-            raise ValueError("curve values must align with curve dates")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", values)
 
 
 def simple_returns(table: PriceTable) -> ReturnTable:
@@ -205,12 +137,46 @@ def correlation_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     return corr
 
 
-def covariance(returns: ReturnTable) -> CovMatrix:
-    return CovMatrix(returns.tickers, covariance_values(returns.values, returns.tickers))
+def square_matrix(values: np.ndarray, label: str) -> np.ndarray:
+    """``values`` as a float array, checked n x n, finite and symmetric within 1e-12."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"{label} matrix must be square, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} entries must be finite")
+    if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
+        raise ValueError(f"{label} matrix must be symmetric within 1e-12")
+    return values
 
 
-def correlation(returns: ReturnTable) -> CorrMatrix:
-    return CorrMatrix(returns.tickers, correlation_values(returns.values, returns.tickers))
+def checked_covariance(values: np.ndarray) -> np.ndarray:
+    """``values`` checked as a covariance: square, symmetric, PSD, diagonal >= 0."""
+    values = square_matrix(values, "covariance")
+    if not np.all(np.diag(values) >= 0):
+        raise ValueError("covariance diagonal must be non-negative")
+    # rounding leaves eigenvalues of a singular matrix about eps * scale below 0
+    scale = max(1.0, float(np.max(np.diag(values), initial=0.0)))
+    if not np.linalg.eigvalsh(values).min() >= -1e-9 * scale:
+        raise ValueError("covariance matrix must be positive semidefinite")
+    return values
+
+
+def checked_correlation(values: np.ndarray) -> np.ndarray:
+    """``values`` checked as a correlation: square, symmetric, unit diagonal, in [-1, 1]."""
+    values = square_matrix(values, "correlation")
+    if not np.all(np.diag(values) == 1.0):
+        raise ValueError("correlation diagonal must be exactly 1")
+    if not np.all((values >= -1.0) & (values <= 1.0)):
+        raise ValueError("correlation entries must lie in [-1, 1]")
+    return values
+
+
+def covariance(returns: ReturnTable) -> np.ndarray:
+    return checked_covariance(covariance_values(returns.values, returns.tickers))
+
+
+def correlation(returns: ReturnTable) -> np.ndarray:
+    return checked_correlation(correlation_values(returns.values, returns.tickers))
 
 
 def annualize(daily: np.ndarray, trading_days: int) -> tuple[float, float]:
@@ -260,10 +226,8 @@ def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float
     return sharpe
 
 
-def schedule_returns(
-    returns: ReturnTable, weights: np.ndarray
-) -> tuple[np.ndarray, CumulativeCurve]:
-    """Daily returns of a weight schedule and their compounded curve.
+def schedule_returns(returns: ReturnTable, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Daily returns of a weight schedule and their compounded curve, one per return row.
 
     The one place portfolio daily returns are computed. ``weights`` is
     either one ``(N,)`` row held on every date or one ``(T, N)`` row per
@@ -289,4 +253,4 @@ def schedule_returns(
     if bad.any():
         first = returns.dates[int(np.argmax(bad))]
         raise NonFiniteError(f"portfolio cumulative return overflows on {first}")
-    return daily, CumulativeCurve(returns.dates, values)
+    return daily, values

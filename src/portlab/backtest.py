@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import CumulativeCurve, ReturnTable, annualize, schedule_returns, sharpe_ratio
+from .analytics import ReturnTable, annualize, schedule_returns, sharpe_ratio
 from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
 
@@ -28,7 +28,7 @@ METHOD_ORDER = ("MVP", "HRP", "EQUAL", "RL")
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Annualized stats and cumulative curve of one method on one phase."""
+    """Annualized stats and cumulative curve (one value per date) of one method on one phase."""
 
     method: str
     phase: str
@@ -37,9 +37,19 @@ class BacktestReport:
     annual_risk: float
     risk_free: float
     sharpe: float
-    curve: CumulativeCurve
+    dates: tuple[date, ...]
+    curve: np.ndarray
 
     def __post_init__(self) -> None:
+        curve = np.array(self.curve, dtype=float)
+        if curve.shape != (len(self.dates),):
+            raise ValueError("curve values must align with curve dates")
+        # a report read back by compare is outside input
+        if not np.all(np.isfinite(curve)):
+            raise ValueError("curve values must be finite")
+        curve.setflags(write=False)
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "curve", curve)
         if self.phase not in ("train", "test"):
             raise ValueError(f"phase must be train or test, got {self.phase!r}")
         if not (isinstance(self.method, str) and isinstance(self.dataset, str)):
@@ -84,6 +94,7 @@ def run_backtest(
         annual_risk=annual_risk,
         risk_free=risk_free,
         sharpe=sharpe,
+        dates=returns.dates,
         curve=curve,
     )
 
@@ -126,10 +137,7 @@ def write_report(report: BacktestReport, path: str | Path) -> None:
         "risk": report.annual_risk,
         "risk_free": report.risk_free,
         "sharpe": report.sharpe,
-        "curve": [
-            [d.isoformat(), float(v)]
-            for d, v in zip(report.curve.dates, report.curve.values)
-        ],
+        "curve": [[d.isoformat(), float(v)] for d, v in zip(report.dates, report.curve)],
     }
     write_json(path, payload)
 
@@ -142,10 +150,6 @@ def read_report(path: str | Path) -> BacktestReport:
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        curve = CumulativeCurve(
-            tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
-            np.array([v for _, v in payload["curve"]], dtype=float),
-        )
         return BacktestReport(
             method=payload["method"],
             phase=payload["phase"],
@@ -154,7 +158,8 @@ def read_report(path: str | Path) -> BacktestReport:
             annual_risk=float(payload["risk"]),
             risk_free=float(payload["risk_free"]),
             sharpe=float(payload["sharpe"]),
-            curve=curve,
+            dates=tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
+            curve=[v for _, v in payload["curve"]],
         )
     except KeyError as exc:
         raise ReportFormatError(f"{path}: missing field {exc}") from None

@@ -105,8 +105,7 @@ def cmd_rl_eval(config: RunConfig) -> None:
     weights, report = _write_reports(
         "RL", lambda r: evaluate(net, r, config.rl, config.trading_days), data, config, out
     )
-    curve = report.curve
-    _write_repr_column(out / "rl_curve.csv", "date,cumulative_return", curve.dates, curve.values)
+    _write_repr_column(out / "rl_curve.csv", "date,cumulative_return", report.dates, report.curve)
     header = ["date", *data.tickers]
     write_float_csv(out / "rl_schedule.csv", header, [weights], labels=data.test_returns.dates)
 
@@ -234,8 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_and_override(args.config, args.out)
         _COMMANDS[args.command](config)
-    except (PortlabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # MemoryError: an allocation the config asks for, e.g. a huge replay_capacity
+    except (PortlabError, OSError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

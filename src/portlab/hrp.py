@@ -6,18 +6,22 @@ single-linkage tree -> leaf order -> recursive bisection over the
 covariance matrix. Clustering operates on the co-distance matrix; the
 correlation distance is only the intermediate transform. Single linkage
 is the only clustering rule, as in the HRP allocation itself.
+
+The tree is an ``(n - 1, 4)`` float array in the linkage layout of
+``scipy.cluster.hierarchy``: row ``s`` holds merge ``s``'s two child ids
+(leaves ``0..n-1``; merge ``s`` forms node ``n + s``), its distance and its
+leaf count. :func:`linkage_to_records` gives the records in ``hrp_linkage.json``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .analytics import (
-    VARIANCE_FLOOR, CorrMatrix, CovMatrix, ReturnTable, correlation, covariance, freeze_square_matrix
-)
+from .analytics import VARIANCE_FLOOR, ReturnTable, correlation, covariance, square_matrix
 from .mvp import Portfolio
 
 
@@ -29,65 +33,54 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = freeze_square_matrix(self, "distance")
+        values = np.array(self.values, dtype=float)
+        if values.shape != (len(self.tickers), len(self.tickers)):
+            raise ValueError("distance matrix shape does not match tickers")
+        square_matrix(values, "distance")
         if not np.all(np.diag(values) == 0.0):
             raise ValueError("distance matrix diagonal must be zero")
         if not np.all(values >= 0):
             raise ValueError("distances must be non-negative")
+        values.setflags(write=False)
+        object.__setattr__(self, "tickers", tuple(self.tickers))
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class MergeRecord:
-    """One agglomeration step: child node ids, merge distance, merged leaf count."""
+def checked_linkage(tree: np.ndarray, n_leaves: int) -> np.ndarray:
+    """``tree`` checked as the merges of ``n_leaves`` leaves, in the layout above.
 
-    left: int
-    right: int
-    distance: float
-    size: int
-
-
-@dataclass(frozen=True)
-class LinkageTree:
-    """N-1 merges over node ids 0..N-1 (leaves) and N..2N-2 (internal)."""
-
-    n_leaves: int
-    merges: tuple[MergeRecord, ...]
-
-    def __post_init__(self) -> None:
-        n = self.n_leaves
-        if len(self.merges) != n - 1:
-            raise ValueError(f"expected {n - 1} merges, got {len(self.merges)}")
-        seen: set[int] = set()
-        sizes = {i: 1 for i in range(n)}
-        prev = -math.inf
-        for step, m in enumerate(self.merges):
-            new_id = n + step
-            for child in (m.left, m.right):
-                if child not in sizes:
-                    raise ValueError(f"merge {step} references unknown node {child}")
-                if child in seen:
-                    raise ValueError(f"node {child} used as a child twice")
-                seen.add(child)
-            if m.size != sizes[m.left] + sizes[m.right]:
-                raise ValueError(f"merge {step} size {m.size} inconsistent with children")
-            if not math.isfinite(m.distance):
-                raise ValueError(f"merge {step} distance {m.distance} is not finite")
-            if not m.distance >= prev - 1e-12:
-                raise ValueError("merge distances must be non-decreasing")
-            prev = m.distance
-            sizes[new_id] = m.size
-        object.__setattr__(self, "merges", tuple(self.merges))
-
-    @property
-    def root(self) -> int:
-        return self.n_leaves + len(self.merges) - 1
+    Each child is a known node used once, each size is the sum of its
+    children's sizes, and the distances are finite and non-decreasing.
+    """
+    tree = np.asarray(tree, dtype=float)
+    if tree.shape != (n_leaves - 1, 4):
+        raise ValueError(f"expected {n_leaves - 1} merges, got shape {tree.shape}")
+    seen: set[float] = set()
+    sizes = {i: 1 for i in range(n_leaves)}
+    prev = -math.inf
+    for step, (left, right, distance, size) in enumerate(tree.tolist()):
+        for child in (left, right):
+            if child not in sizes:
+                raise ValueError(f"merge {step} references unknown node {child:g}")
+            if child in seen:
+                raise ValueError(f"node {child:g} used as a child twice")
+            seen.add(child)
+        if size != sizes[left] + sizes[right]:
+            raise ValueError(f"merge {step} size {size:g} inconsistent with children")
+        if not math.isfinite(distance):
+            raise ValueError(f"merge {step} distance {distance} is not finite")
+        if not distance >= prev - 1e-12:
+            raise ValueError("merge distances must be non-decreasing")
+        prev = distance
+        sizes[n_leaves + step] = size
+    return tree
 
 
-def corr_distance(corr: CorrMatrix) -> DistanceMatrix:
-    """Map correlations to distances: ``sqrt(0.5 * (1 - rho))``."""
-    values = np.sqrt(np.maximum(0.5 * (1.0 - corr.values), 0.0))
+def corr_distance(corr: np.ndarray, tickers: Sequence[str]) -> DistanceMatrix:
+    """Map the correlations of ``tickers`` to distances: ``sqrt(0.5 * (1 - rho))``."""
+    values = np.sqrt(np.maximum(0.5 * (1.0 - corr), 0.0))
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(corr.tickers, values)
+    return DistanceMatrix(tickers, values)
 
 
 def codistance(d: DistanceMatrix) -> DistanceMatrix:
@@ -105,8 +98,8 @@ def codistance(d: DistanceMatrix) -> DistanceMatrix:
     return DistanceMatrix(d.tickers, values)
 
 
-def single_linkage(d: DistanceMatrix) -> LinkageTree:
-    """Agglomerate by repeatedly merging the closest pair of clusters.
+def single_linkage(d: DistanceMatrix) -> np.ndarray:
+    """Agglomerate by repeatedly merging the closest pair of clusters; return the checked tree.
 
     Cluster distance is the minimum over element pairs: after each merge,
     the new cluster's row is the elementwise minimum of its children's
@@ -115,8 +108,8 @@ def single_linkage(d: DistanceMatrix) -> LinkageTree:
     lexicographically smallest (left, right) ids; that is how exact ties
     break.
 
-    Child order in each merge record is label-invariant: a leaf precedes
-    an internal sibling, internal siblings keep formation order, and two
+    Child order in each merge is label-invariant: a leaf precedes an
+    internal sibling, internal siblings keep formation order, and two
     leaves order by their column sum in the input matrix (falling back to
     node id on exact ties). This keeps the downstream seriation, and so
     the HRP weights, equivariant under input permutations.
@@ -132,7 +125,7 @@ def single_linkage(d: DistanceMatrix) -> LinkageTree:
     np.fill_diagonal(dm, np.inf)
     sizes = [1] * total
     active = list(range(n))  # kept ascending; new ids are always the largest
-    merges: list[MergeRecord] = []
+    tree = np.empty((n - 1, 4))
 
     for step in range(n - 1):
         ai, bi = divmod(int(np.argmin(dm[np.ix_(active, active)])), len(active))
@@ -142,31 +135,31 @@ def single_linkage(d: DistanceMatrix) -> LinkageTree:
         left, right = best_a, best_b
         if right < n and (colsums[right], right) < (colsums[left], left):
             left, right = right, left
-        merges.append(MergeRecord(left, right, float(dm[best_a, best_b]), sizes[new_id]))
+        tree[step] = left, right, dm[best_a, best_b], sizes[new_id]
         dm[new_id, :] = dm[:, new_id] = np.minimum(dm[best_a, :], dm[best_b, :])
         # ai < bi: the first minimum of a symmetric block lies above its diagonal
         del active[bi], active[ai]
         active.append(new_id)
 
-    return LinkageTree(n, tuple(merges))
+    return checked_linkage(tree, n)
 
 
-def quasi_diag_order(tree: LinkageTree) -> list[int]:
+def quasi_diag_order(tree: np.ndarray) -> list[int]:
     """Depth-first leaf order of the tree, left subtree before right.
 
     Reordering the covariance matrix by this permutation pulls large
     entries toward the diagonal.
     """
+    n = tree.shape[0] + 1
+    children = tree[:, :2].astype(int).tolist()
     order: list[int] = []
-    stack = [tree.root]
+    stack = [2 * n - 2]
     while stack:
         node = stack.pop()
-        if node < tree.n_leaves:
+        if node < n:
             order.append(node)
         else:
-            merge = tree.merges[node - tree.n_leaves]
-            stack.append(merge.right)
-            stack.append(merge.left)
+            stack.extend(reversed(children[node - n]))
     return order
 
 
@@ -187,8 +180,8 @@ def cluster_variance(cov_sub: np.ndarray) -> float:
     return float(w @ v @ w)
 
 
-def recursive_bisection(cov: CovMatrix, order: list[int]) -> Portfolio:
-    """Top-down weight assignment over the seriated asset list ``order``.
+def recursive_bisection(cov: np.ndarray, order: list[int], tickers: Sequence[str]) -> Portfolio:
+    """Top-down weights of ``tickers`` over the seriated asset list ``order``.
 
     ``order`` must be a permutation of the covariance's asset indices, as
     :func:`quasi_diag_order` returns. All weights start at 1. Each cluster
@@ -197,7 +190,7 @@ def recursive_bisection(cov: CovMatrix, order: list[int]) -> Portfolio:
     each V is the inverse-variance cluster variance. Cluster variances are
     floored so every split factor stays strictly inside (0, 1).
     """
-    n = cov.values.shape[0]
+    n = cov.shape[0]
     if sorted(order) != list(range(n)):
         raise ValueError(f"seriation order must be a permutation of 0..{n - 1}")
     weights = np.ones(n)
@@ -208,29 +201,26 @@ def recursive_bisection(cov: CovMatrix, order: list[int]) -> Portfolio:
             continue
         half = (len(items) + 1) // 2
         left, right = items[:half], items[half:]
-        v1 = max(cluster_variance(cov.values[np.ix_(left, left)]), VARIANCE_FLOOR)
-        v2 = max(cluster_variance(cov.values[np.ix_(right, right)]), VARIANCE_FLOOR)
+        v1 = max(cluster_variance(cov[np.ix_(left, left)]), VARIANCE_FLOOR)
+        v2 = max(cluster_variance(cov[np.ix_(right, right)]), VARIANCE_FLOOR)
         alpha = 1.0 - v1 / (v1 + v2)
         weights[left] *= alpha
         weights[right] *= 1.0 - alpha
         stack.append(left)
         stack.append(right)
     weights /= weights.sum()
-    return Portfolio(cov.tickers, weights)
+    return Portfolio(tickers, weights)
 
 
-def hrp_weights(returns: ReturnTable) -> tuple[LinkageTree, Portfolio]:
+def hrp_weights(returns: ReturnTable) -> tuple[np.ndarray, Portfolio]:
     """Full pipeline from a return table to the merge tree and the HRP weights."""
-    corr = correlation(returns)
-    dbar = codistance(corr_distance(corr))
-    tree = single_linkage(dbar)
-    order = quasi_diag_order(tree)
-    return tree, recursive_bisection(covariance(returns), order)
+    tree = single_linkage(codistance(corr_distance(correlation(returns), returns.tickers)))
+    return tree, recursive_bisection(covariance(returns), quasi_diag_order(tree), returns.tickers)
 
 
-def linkage_to_records(tree: LinkageTree) -> list[dict]:
+def linkage_to_records(tree: np.ndarray) -> list[dict]:
     """Merge list as plain dicts, consumable by standard dendrogram plotters."""
     return [
-        {"left": m.left, "right": m.right, "distance": m.distance, "size": m.size}
-        for m in tree.merges
+        {"left": int(left), "right": int(right), "distance": distance, "size": int(size)}
+        for left, right, distance, size in tree.tolist()
     ]

@@ -110,6 +110,7 @@ def load_prices(path: str | Path) -> PriceTable:
         tickers = [c.strip() for c in header[1:]]
         if len(tickers) < 2:
             raise SchemaError(f"{path}: need at least 2 ticker columns, got {len(tickers)}")
+        seen: set[str] = set()
         # the CSV outputs write tickers unquoted
         for column, ticker in enumerate(tickers, start=2):
             if not ticker:
@@ -118,6 +119,9 @@ def load_prices(path: str | Path) -> PriceTable:
                 raise SchemaError(
                     f"{path}: ticker {ticker!r} holds a comma, quote or line break"
                 )
+            if ticker in seen:
+                raise SchemaError(f"{path}: column {column} repeats ticker {ticker!r}")
+            seen.add(ticker)
 
         dates: list[date] = []
         rows: list[list[float]] = []

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import CovMatrix, on_simplex
+from .analytics import on_simplex
 from .errors import NonFiniteError, UndefinedSharpeError
 from .floatcsv import write_float_csv
 
@@ -104,7 +104,7 @@ def equal_weight(tickers: Sequence[str]) -> Portfolio:
 
 def sample_portfolios(
     mu: np.ndarray,
-    cov: CovMatrix,
+    cov: np.ndarray,
     count: int,
     risk_free: float,
     seed: int,
@@ -113,7 +113,7 @@ def sample_portfolios(
     """Draw ``count`` random long-only portfolios and score each one.
 
     Weights are N independent uniform(0,1) draws normalized to sum 1.
-    ``mu`` is annual mean returns; ``cov`` is the daily covariance, so
+    ``mu`` is annual mean returns; ``cov`` is the daily covariance array, so
     volatility is annualized here. Sampling is chunked with one child
     RNG stream per chunk, which makes the cloud a deterministic function
     of the seed and prefix-stable in ``count``. Raises
@@ -122,9 +122,8 @@ def sample_portfolios(
     if count < 1:
         raise ValueError("count must be >= 1")
     mu = np.asarray(mu, dtype=float)
-    sigma = cov.values
     n = mu.shape[0]
-    if sigma.shape != (n, n):
+    if cov.shape != (n, n):
         raise ValueError("mu and covariance dimensions do not match")
 
     n_chunks = (count + _CHUNK - 1) // _CHUNK
@@ -139,7 +138,7 @@ def sample_portfolios(
         rng = np.random.default_rng(streams[chunk_idx])
         draws = rng.uniform(size=(hi - lo, n))
         w = draws / draws.sum(axis=1, keepdims=True)
-        variances = np.maximum(np.einsum("ij,jk,ik->i", w, sigma, w), 0.0)
+        variances = np.maximum(np.einsum("ij,jk,ik->i", w, cov, w), 0.0)
         r = w @ mu
         # a zero volatility divides by zero here, but is reported just below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -8,8 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from portlab.analytics import CovMatrix, ReturnTable
-from portlab.hrp import LinkageTree, MergeRecord
+from portlab.analytics import ReturnTable
 from portlab.market_data import PriceTable
 from portlab.synthetic import weekday_dates
 
@@ -42,11 +41,6 @@ def random_cov(rng: np.random.Generator, n: int, n_rows: int = 40) -> np.ndarray
     return np.atleast_2d(np.cov(data, rowvar=False, ddof=1))
 
 
-def cov_matrix(values) -> CovMatrix:
-    """A bare covariance array as the checked :class:`CovMatrix`, tickers ``T0..``."""
-    return CovMatrix(tuple(f"T{i}" for i in range(len(values))), values)
-
-
 def read_frontier_csv(path: str | Path) -> np.ndarray:
     """Read a frontier CSV back into a (count, 3 + N) float array."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -54,12 +48,3 @@ def read_frontier_csv(path: str | Path) -> np.ndarray:
         next(reader)
         rows = [[float(cell) for cell in row] for row in reader if row]
     return np.array(rows, dtype=float)
-
-
-def tree_from_records(records: list[dict], n_leaves: int) -> LinkageTree:
-    """Inverse of :func:`portlab.hrp.linkage_to_records`."""
-    merges = tuple(
-        MergeRecord(int(r["left"]), int(r["right"]), float(r["distance"]), int(r["size"]))
-        for r in records
-    )
-    return LinkageTree(n_leaves, merges)

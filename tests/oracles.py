@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from portlab.analytics import CovMatrix
 from portlab.rl.agent import EpisodeStats
 from portlab.rl.network import QNetwork, _backprop, _layer_views
 
@@ -54,19 +53,15 @@ class MinVariancePortfolio:
         object.__setattr__(self, "tickers", tuple(self.tickers))
 
 
-def closed_form_min_variance(cov: CovMatrix | np.ndarray) -> MinVariancePortfolio:
+def closed_form_min_variance(cov: np.ndarray) -> MinVariancePortfolio:
     """Analytic minimum-variance weights: ``S^-1 1 / (1' S^-1 1)``.
 
     Solves the variance minimization with only the sum-to-one constraint,
     so weights can go negative. Adds ``1e-10 I`` once if the matrix is
     (near-)singular.
     """
-    if isinstance(cov, CovMatrix):
-        tickers = cov.tickers
-        sigma = cov.values
-    else:
-        sigma = np.asarray(cov, dtype=float)
-        tickers = tuple(f"asset_{i}" for i in range(sigma.shape[0]))
+    sigma = np.asarray(cov, dtype=float)
+    tickers = tuple(f"asset_{i}" for i in range(sigma.shape[0]))
     n = sigma.shape[0]
     if n == 0:
         raise ValueError("covariance matrix must be non-empty")

@@ -66,43 +66,73 @@ class TestCovarianceCorrelation:
         rets = make_returns(np.column_stack([x, x]))
         cov = analytics.covariance(rets)
         corr = analytics.correlation(rets)
-        assert corr.values[0, 1] == pytest.approx(1.0, abs=1e-12)
-        assert cov.values[0, 1] == pytest.approx(np.var(x, ddof=1), abs=1e-15)
+        assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert cov[0, 1] == pytest.approx(np.var(x, ddof=1), abs=1e-15)
 
     def test_anti_symmetric_columns(self):
         x = np.array([0.01, -0.02, 0.03, 0.0])
         corr = analytics.correlation(make_returns(np.column_stack([x, -x])))
-        assert corr.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert corr[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_column_degenerate_rule(self):
         x = np.array([0.01, -0.02, 0.03, 0.0])
         rets = make_returns(np.column_stack([x, np.zeros(4)]))
         corr = analytics.correlation(rets)
         cov = analytics.covariance(rets)
-        assert corr.values[0, 1] == 0.0
-        assert corr.values[1, 1] == 1.0
-        assert cov.values[1, 1] == 0.0
+        assert corr[0, 1] == 0.0
+        assert corr[1, 1] == 1.0
+        assert cov[1, 1] == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_corr_matrix_rejects_non_finite(self, bad):
         values = np.eye(3)
         values[0, 2] = values[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            analytics.CorrMatrix(("A", "B", "C"), values)
+            analytics.checked_correlation(values)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_cov_matrix_rejects_non_finite(self, bad):
         values = np.eye(3)
         values[0, 2] = values[2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
-            analytics.CovMatrix(("A", "B", "C"), values)
+            analytics.checked_covariance(values)
 
     def test_cov_matrix_psd_check_scales_with_the_entries(self):
         # eigvalsh puts the zero eigenvalues of this rank-one matrix near -3e-8
         v = np.random.default_rng(3).normal(size=3)
-        analytics.CovMatrix(("A", "B", "C"), np.outer(v, v) * 5e7)
+        analytics.checked_covariance(np.outer(v, v) * 5e7)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            analytics.CovMatrix(("A", "B"), np.array([[1.0, 2.0], [2.0, 1.0]]) * 5e7)
+            analytics.checked_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]) * 5e7)
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            (np.ones((2, 3)), "covariance matrix must be square, got shape (2, 3)"),
+            (np.ones(3), "covariance matrix must be square, got shape (3,)"),
+            ([[1.0, 0.5], [0.5 + 1e-11, 1.0]], "covariance matrix must be symmetric within 1e-12"),
+            ([[-1e-3, 0.0], [0.0, 1.0]], "covariance diagonal must be non-negative"),
+        ],
+        ids=["not-square", "one-axis", "asymmetric", "negative-variance"],
+    )
+    def test_checked_covariance_messages(self, values, message):
+        with pytest.raises(ValueError) as exc:
+            analytics.checked_covariance(values)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [
+            (np.ones((3, 2)), "correlation matrix must be square, got shape (3, 2)"),
+            ([[1.0, 0.5], [0.4, 1.0]], "correlation matrix must be symmetric within 1e-12"),
+            ([[1.0, 0.5], [0.5, 1.0 - 1e-16]], "correlation diagonal must be exactly 1"),
+            ([[1.0, 1.5], [1.5, 1.0]], "correlation entries must lie in [-1, 1]"),
+        ],
+        ids=["not-square", "asymmetric", "diagonal", "out-of-range"],
+    )
+    def test_checked_correlation_messages(self, values, message):
+        with pytest.raises(ValueError) as exc:
+            analytics.checked_correlation(values)
+        assert str(exc.value) == message
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_covariance_names_the_column(self):
@@ -215,25 +245,25 @@ class TestCumulativeReturns:
     def test_constant_returns_compound(self):
         rets = make_returns(np.full((3, 2), 0.01))
         curve = _curve(rets, equal_weight(rets.tickers).weights)
-        assert curve.values[-1] == pytest.approx(0.030301, abs=1e-12)
+        assert curve[-1] == pytest.approx(0.030301, abs=1e-12)
 
     def test_zero_returns_flat(self):
         rets = make_returns(np.zeros((4, 2)))
-        assert np.all(_curve(rets, equal_weight(rets.tickers).weights).values == 0.0)
+        assert np.all(_curve(rets, equal_weight(rets.tickers).weights) == 0.0)
 
     def test_single_asset_passthrough(self, rng):
         values = rng.normal(0.001, 0.01, size=(10, 3))
         rets = make_returns(values)
         curve = _curve(rets, np.array([0.0, 1.0, 0.0]))
         expect = np.cumprod(1 + values[:, 1]) - 1
-        assert curve.values == pytest.approx(expect, abs=1e-14)
+        assert curve == pytest.approx(expect, abs=1e-14)
 
     def test_equal_weights_match_row_mean_compounding(self, rng):
         values = rng.normal(0.0, 0.02, size=(15, 5))
         rets = make_returns(values)
         curve = _curve(rets, equal_weight(rets.tickers).weights)
         expect = np.cumprod(1 + values.mean(axis=1)) - 1
-        assert np.max(np.abs(curve.values - expect)) < 1e-12
+        assert np.max(np.abs(curve - expect)) < 1e-12
 
     def test_superset_schedule_errors(self):
         # a schedule must hold one row per return row, not merely cover them
@@ -261,7 +291,7 @@ class TestCumulativeReturns:
         daily, curve = analytics.schedule_returns(rets, row)
         tiled_daily, tiled_curve = analytics.schedule_returns(rets, np.tile(row, (n_rows, 1)))
         assert np.array_equal(daily, tiled_daily)
-        assert np.array_equal(curve.values, tiled_curve.values)
+        assert np.array_equal(curve, tiled_curve)
 
     def test_daily_returns_are_weighted_row_sums(self, rng):
         values = rng.normal(0.0, 0.02, size=(12, 3))
@@ -269,4 +299,4 @@ class TestCumulativeReturns:
         weights = rng.dirichlet(np.ones(3), size=12)
         daily, curve = analytics.schedule_returns(rets, weights)
         assert np.array_equal(daily, (values * weights).sum(axis=1))
-        assert np.array_equal(curve.values, np.cumprod(1.0 + daily) - 1.0)
+        assert np.array_equal(curve, np.cumprod(1.0 + daily) - 1.0)

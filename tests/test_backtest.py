@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from helpers import make_returns
-from portlab.analytics import CumulativeCurve
 from portlab.backtest import BacktestReport, compare_methods, run_backtest, write_comparison_csv
 from portlab.errors import NonFiniteError
 from portlab.mvp import equal_weight
@@ -27,7 +26,8 @@ def _report(**overrides) -> BacktestReport:
         annual_risk=0.2,
         risk_free=0.01,
         sharpe=(0.11 - 0.01) / 0.2,
-        curve=CumulativeCurve(weekday_dates(date(2019, 1, 1), 2), np.array([0.0, 0.01])),
+        dates=weekday_dates(date(2019, 1, 1), 2),
+        curve=np.array([0.0, 0.01]),
     )
     fields.update(overrides)
     return BacktestReport(**fields)
@@ -77,6 +77,21 @@ def test_nan_breaks_sharpe_consistency(field):
 def test_risk_must_be_positive(risk):
     with pytest.raises(ValueError, match="annual risk must be > 0"):
         _report(annual_risk=risk)
+
+
+@pytest.mark.parametrize(
+    ("curve", "message"),
+    [
+        ([0.0], "curve values must align with curve dates"),
+        ([[0.0, 0.01]], "curve values must align with curve dates"),
+        ([0.0, np.nan], "curve values must be finite"),
+        ([np.inf, 0.0], "curve values must be finite"),
+    ],
+    ids=["short", "two-axes", "nan", "inf"],
+)
+def test_report_curve_must_align_with_its_dates_and_be_finite(curve, message):
+    with pytest.raises(ValueError, match=message):
+        _report(curve=curve)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 """CLI behaviour end to end.
 
 Bad input (a malformed saved model or report, an out-of-range config
-value, a file that is not UTF-8, an empty ticker name, prices whose
-returns or statistics overflow) gives exit 1 and one ``error:`` line; a full pipeline run writes
-the same bytes every time; the configured ``trading_days`` reaches the
+value, an allocation too large for the address space, a file that is
+not UTF-8, an empty or repeated ticker name, prices whose returns or
+statistics overflow) gives exit 1 and one ``error:`` line; a full
+pipeline run writes the same bytes every time; the configured ``trading_days`` reaches the
 agent's reward; the bundled fixture regenerates byte for byte.
 """
 
@@ -25,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import read_training_log
 from portlab import backtest, cli, synthetic
-from portlab.analytics import CumulativeCurve
 from portlab.market_data import PriceTable, write_prices
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams
@@ -94,8 +94,8 @@ def test_rl_eval_accepts_well_formed_model(run_dir, capsys):
 
 def _saved_report(out):
     path = out / "report_MVP_test.json"
-    curve = CumulativeCurve(synthetic.weekday_dates(date(2019, 1, 1), 2), np.array([0.0, 0.01]))
-    report = backtest.BacktestReport("MVP", "test", "d", 0.11, 0.2, 0.01, 0.5, curve)
+    dates = synthetic.weekday_dates(date(2019, 1, 1), 2)
+    report = backtest.BacktestReport("MVP", "test", "d", 0.11, 0.2, 0.01, 0.5, dates, [0.0, 0.01])
     backtest.write_report(report, path)
     return path
 
@@ -127,8 +127,26 @@ def _edit_report(**fields):
             _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", None]]),
             "curve values must be finite",
         ),
+        # json.loads reads the NaN and Infinity that json.dumps writes
+        (
+            _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", math.nan]]),
+            "curve values must be finite",
+        ),
+        (
+            _edit_report(curve=[["2019-01-01", math.inf], ["2019-01-02", 0.0]]),
+            "curve values must be finite",
+        ),
     ],
-    ids=["truncated", "missing-key", "zero-risk", "nan-risk", "list-dataset", "null-curve-cell"],
+    ids=[
+        "truncated",
+        "missing-key",
+        "zero-risk",
+        "nan-risk",
+        "list-dataset",
+        "null-curve-cell",
+        "nan-curve-cell",
+        "infinity-curve-cell",
+    ],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
     config, out = run_dir
@@ -170,12 +188,12 @@ def test_non_utf8_input_gives_one_line_error(tmp_path, fixture_csv, capsys, comm
     assert str(target) in err[0]
 
 
-def test_empty_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
-    # a trailing header comma names a priced column ""
+def _hrp_with_extra_column(tmp_path, fixture_csv, capsys, ticker: str) -> tuple[Path, str]:
+    """Run ``hrp`` on the fixture plus a priced column headed ``ticker``; its one error line."""
     lines = fixture_csv.read_text(encoding="utf-8").splitlines()
     prices = tmp_path / "prices.csv"
     prices.write_text(
-        "\n".join([lines[0] + ","] + [line + ",50.0" for line in lines[1:]]) + "\n",
+        "\n".join([f"{lines[0]},{ticker}"] + [line + ",50.0" for line in lines[1:]]) + "\n",
         encoding="utf-8",
     )
     config = tmp_path / "run.cfg"
@@ -185,8 +203,19 @@ def test_empty_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert f"{prices}: column {FIXTURE_ASSETS + 2} has an empty ticker name" in err[0]
     assert not out.exists()
+    return prices, err[0]
+
+
+def test_empty_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
+    # a trailing header comma names a priced column ""
+    prices, err = _hrp_with_extra_column(tmp_path, fixture_csv, capsys, "")
+    assert f"{prices}: column {FIXTURE_ASSETS + 2} has an empty ticker name" in err
+
+
+def test_repeated_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
+    prices, err = _hrp_with_extra_column(tmp_path, fixture_csv, capsys, "STK3")
+    assert f"{prices}: column {FIXTURE_ASSETS + 2} repeats ticker 'STK3'" in err
 
 
 def _write_config(path, fixture_csv, extra: str = "") -> None:
@@ -235,6 +264,9 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
             None,
             "rl.batch_size 64 exceeds replay_capacity 40",
         ),
+        # 1.42 PiB of replay slots: above the 128 TiB user address space of
+        # x86-64 and arm64 Linux, so the allocation fails without touching memory
+        ("rl-train", "rl.replay_capacity = 100000000000000\n", None, "Unable to allocate"),
     ],
     ids=[
         "negative-seed",
@@ -244,6 +276,7 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         "nan-learning-rate",
         "inf-learning-rate",
         "batch-above-capacity",
+        "oversized-replay-capacity",
     ],
 )
 def test_bad_config_value_gives_one_line_error(

@@ -16,8 +16,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from helpers import cov_matrix
 from portlab import floatcsv, mvp
+from portlab.analytics import checked_covariance
 from portlab.rl.agent import EpisodeStats, write_training_log
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams
@@ -91,7 +91,7 @@ def seeded_cloud(count: int = 2500) -> mvp.FrontierCloud:
     data = rng.normal(0, 0.01, size=(120, 6))
     sigma = np.cov(data, rowvar=False, ddof=1)
     mu = rng.uniform(-0.1, 0.3, size=6)
-    return mvp.sample_portfolios(mu, cov_matrix(sigma), count, 0.013, 17, 252)
+    return mvp.sample_portfolios(mu, checked_covariance(sigma), count, 0.013, 17, 252)
 
 
 @pytest.mark.parametrize("make", [seeded_cloud, awkward_cloud], ids=["seeded", "awkward"])
@@ -125,7 +125,7 @@ def test_frontier_csv_holds_one_block(tmp_path):
     rng = np.random.default_rng(5)
     sigma = np.cov(rng.normal(0, 0.01, size=(120, 10)), rowvar=False, ddof=1)
     mu = rng.uniform(-0.1, 0.3, 10)
-    cloud = mvp.sample_portfolios(mu, cov_matrix(sigma), 10_000, 0.013, 17, 252)
+    cloud = mvp.sample_portfolios(mu, checked_covariance(sigma), 10_000, 0.013, 17, 252)
     tracemalloc.start()
     try:
         mvp.write_frontier_csv(cloud, tmp_path / "frontier.csv")

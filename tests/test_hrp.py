@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_returns, random_returns, tree_from_records
+from helpers import make_returns, random_returns
 from portlab import hrp
-from portlab.analytics import CorrMatrix, CovMatrix, correlation, covariance
-from portlab.hrp import DistanceMatrix, LinkageTree, MergeRecord
+from portlab.analytics import checked_covariance, correlation
+from portlab.hrp import DistanceMatrix
 
 
 def tickers(n):
@@ -18,6 +18,11 @@ def tickers(n):
 def dist(values):
     values = np.asarray(values, dtype=float)
     return DistanceMatrix(tickers(values.shape[0]), values)
+
+
+def distances(returns):
+    """Correlation distances of a return table."""
+    return hrp.corr_distance(correlation(returns), returns.tickers)
 
 
 def naive_agglomeration(values: np.ndarray):
@@ -50,7 +55,7 @@ def naive_agglomeration(values: np.ndarray):
     return merges
 
 
-def incremental_single_linkage(values: np.ndarray) -> LinkageTree:
+def incremental_single_linkage(values: np.ndarray) -> np.ndarray:
     """Reference: the pure-Python incremental loop single linkage replaced.
 
     Scans every active pair with a strict ``<`` (so the lexicographically
@@ -80,7 +85,7 @@ def incremental_single_linkage(values: np.ndarray) -> LinkageTree:
         left, right = best_a, best_b
         if right < n and (colsums[right], right) < (colsums[left], left):
             left, right = right, left
-        merges.append(MergeRecord(left, right, float(best_dist), int(sizes[new_id])))
+        merges.append((left, right, best_dist, sizes[new_id]))
         for c in active:
             if c == best_a or c == best_b:
                 continue
@@ -88,7 +93,7 @@ def incremental_single_linkage(values: np.ndarray) -> LinkageTree:
         active.remove(best_a)
         active.remove(best_b)
         active.append(new_id)
-    return LinkageTree(n, tuple(merges))
+    return np.array(merges, dtype=float)
 
 
 def tie_heavy(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -105,7 +110,7 @@ def codistance_3d(values: np.ndarray) -> np.ndarray:
 
 
 def random_codistance(rng: np.random.Generator, n: int) -> DistanceMatrix:
-    return hrp.codistance(hrp.corr_distance(correlation(random_returns(rng, 3 * n, n))))
+    return hrp.codistance(distances(random_returns(rng, 3 * n, n)))
 
 
 class TestDistanceMatrix:
@@ -118,18 +123,15 @@ class TestDistanceMatrix:
 
 class TestCorrDistance:
     def test_bounds_and_midpoint(self):
-        corr = CorrMatrix(
-            tickers(3),
-            np.array([[1.0, 1.0, 0.5], [1.0, 1.0, -1.0], [0.5, -1.0, 1.0]]),
-        )
-        d = hrp.corr_distance(corr)
+        corr = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, -1.0], [0.5, -1.0, 1.0]])
+        d = hrp.corr_distance(corr, tickers(3))
         assert d.values[0, 1] == 0.0  # rho = 1
         assert d.values[1, 2] == 1.0  # rho = -1
         assert d.values[0, 2] == 0.5  # rho = 0.5 -> sqrt(0.25)
 
     def test_zero_diagonal(self, rng):
         rets = random_returns(rng, 30, 4)
-        d = hrp.corr_distance(correlation(rets))
+        d = distances(rets)
         assert np.all(np.diag(d.values) == 0.0)
 
 
@@ -146,18 +148,18 @@ class TestCodistance:
 
     def test_symmetric_zero_diagonal(self, rng):
         rets = random_returns(rng, 25, 5)
-        dbar = hrp.codistance(hrp.corr_distance(correlation(rets)))
+        dbar = hrp.codistance(distances(rets))
         assert np.array_equal(dbar.values, dbar.values.T)
         assert np.all(np.diag(dbar.values) == 0.0)
 
     @pytest.mark.parametrize("n", [2, 7, 40, 120])
     def test_equals_broadcast_formula_bit_for_bit(self, rng, n):
-        d = hrp.corr_distance(correlation(random_returns(rng, 3 * n, n)))
+        d = distances(random_returns(rng, 3 * n, n))
         assert np.array_equal(hrp.codistance(d).values, codistance_3d(d.values))
 
     def test_peak_memory_is_quadratic(self, rng):
         # the (n, n, n) broadcast would need 200**3 * 8 bytes = 64 MB per temporary
-        d = hrp.corr_distance(correlation(random_returns(rng, 300, 200)))
+        d = distances(random_returns(rng, 300, 200))
         tracemalloc.start()
         try:
             hrp.codistance(d)
@@ -171,12 +173,11 @@ class TestSingleLinkage:
     def test_hand_trace_three_leaves(self):
         d = dist([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         tree = hrp.single_linkage(d)
-        assert tree.merges[0] == MergeRecord(0, 1, 1.0, 2)
-        assert tree.merges[1] == MergeRecord(2, 3, 2.0, 3)
+        assert tree.tolist() == [[0, 1, 1.0, 2], [2, 3, 2.0, 3]]
 
     def test_two_leaves(self):
         tree = hrp.single_linkage(dist([[0.0, 0.7], [0.7, 0.0]]))
-        assert tree.merges == (MergeRecord(0, 1, 0.7, 2),)
+        assert tree.tolist() == [[0, 1, 0.7, 2]]
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2024)
@@ -191,54 +192,68 @@ class TestSingleLinkage:
         inputs += [tie_heavy(rng, int(rng.integers(2, 8))) for _ in range(200)]
         for values in inputs:
             tree = hrp.single_linkage(dist(values))
-            got = [(m.left, m.right, m.distance, m.size) for m in tree.merges]
-            assert got == naive_agglomeration(values)
+            assert list(map(tuple, tree.tolist())) == naive_agglomeration(values)
 
     @pytest.mark.parametrize("n", [20, 60, 150])
     def test_matches_incremental_reference(self, n):
         rng = np.random.default_rng(n)
         for values in (random_codistance(rng, n).values, tie_heavy(rng, n)):
-            assert hrp.single_linkage(dist(values)) == incremental_single_linkage(values)
+            tree = hrp.single_linkage(dist(values))
+            assert np.array_equal(tree, incremental_single_linkage(values))
 
     def test_merge_distances_non_decreasing(self, rng):
         for _ in range(20):
             rets = random_returns(rng, 30, 6)
-            tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(correlation(rets))))
-            distances = [m.distance for m in tree.merges]
-            assert distances == sorted(distances)
+            tree = hrp.single_linkage(hrp.codistance(distances(rets)))
+            assert tree[:, 2].tolist() == sorted(tree[:, 2].tolist())
+
+    def test_heights_and_cophenetic_distances_match_scipy(self):
+        # scipy breaks ties and orders children differently, so the merge
+        # heights and the cophenetic distances are what must agree
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        squareform = pytest.importorskip("scipy.spatial.distance").squareform
+        rng = np.random.default_rng(1109)
+        for _ in range(200):
+            d = random_codistance(rng, int(rng.integers(2, 30)))
+            tree = hrp.single_linkage(d)
+            oracle = hierarchy.linkage(squareform(d.values, checks=False), "single")
+            assert np.array_equal(tree[:, 2], oracle[:, 2])
+            assert np.array_equal(hierarchy.cophenet(tree), hierarchy.cophenet(oracle))
 
 
-class TestLinkageTree:
+class TestCheckedLinkage:
     def test_rejects_wrong_merge_count(self):
-        with pytest.raises(ValueError):
-            LinkageTree(3, (MergeRecord(0, 1, 1.0, 2),))
+        with pytest.raises(ValueError, match="expected 2 merges"):
+            hrp.checked_linkage(np.array([[0, 1, 1.0, 2]]), 3)
 
     def test_rejects_child_reuse(self):
-        with pytest.raises(ValueError):
-            LinkageTree(
-                3,
-                (MergeRecord(0, 1, 1.0, 2), MergeRecord(0, 3, 2.0, 3)),
-            )
+        with pytest.raises(ValueError, match="node 0 used as a child twice"):
+            hrp.checked_linkage(np.array([[0, 1, 1.0, 2], [0, 3, 2.0, 3]]), 3)
+
+    @pytest.mark.parametrize("child", [4, -1, 1.5, math.nan])
+    def test_rejects_unknown_child(self, child):
+        with pytest.raises(ValueError, match="merge 1 references unknown node"):
+            hrp.checked_linkage(np.array([[0, 1, 1.0, 2], [2, child, 2.0, 3]]), 3)
+
+    def test_rejects_size_other_than_the_children_sum(self):
+        with pytest.raises(ValueError, match="merge 1 size 2 inconsistent with children"):
+            hrp.checked_linkage(np.array([[0, 1, 1.0, 2], [2, 3, 2.0, 2]]), 3)
 
     def test_rejects_decreasing_distance(self):
-        with pytest.raises(ValueError):
-            LinkageTree(
-                3,
-                (MergeRecord(0, 1, 2.0, 2), MergeRecord(2, 3, 1.0, 3)),
-            )
+        with pytest.raises(ValueError, match="non-decreasing"):
+            hrp.checked_linkage(np.array([[0, 1, 2.0, 2], [2, 3, 1.0, 3]]), 3)
 
     def test_rejects_nan_distance(self):
         with pytest.raises(ValueError, match="finite"):
-            LinkageTree(
-                3,
-                (MergeRecord(0, 1, math.nan, 2), MergeRecord(2, 3, 1.0, 3)),
-            )
+            hrp.checked_linkage(np.array([[0, 1, math.nan, 2], [2, 3, 1.0, 3]]), 3)
 
     def test_records_round_trip(self):
         d = dist([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         tree = hrp.single_linkage(d)
-        back = tree_from_records(hrp.linkage_to_records(tree), tree.n_leaves)
-        assert back == tree
+        records = hrp.linkage_to_records(tree)
+        assert records[1] == {"left": 2, "right": 3, "distance": 2.0, "size": 3}
+        back = [[r["left"], r["right"], r["distance"], r["size"]] for r in records]
+        assert np.array_equal(hrp.checked_linkage(back, 3), tree)
 
 
 class TestQuasiDiag:
@@ -246,7 +261,7 @@ class TestQuasiDiag:
         corr = np.eye(4)
         corr[0, 1] = corr[1, 0] = 0.9
         corr[2, 3] = corr[3, 2] = 0.9
-        d = hrp.corr_distance(CorrMatrix(tickers(4), corr))
+        d = hrp.corr_distance(corr, tickers(4))
         order = hrp.quasi_diag_order(hrp.single_linkage(hrp.codistance(d)))
         blocks = ({0, 1}, {2, 3})
         assert {order[0], order[1]} in blocks
@@ -255,7 +270,7 @@ class TestQuasiDiag:
     def test_output_is_permutation(self, rng):
         for _ in range(10):
             rets = random_returns(rng, 40, 7)
-            tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(correlation(rets))))
+            tree = hrp.single_linkage(hrp.codistance(distances(rets)))
             order = hrp.quasi_diag_order(tree)
             assert sorted(order) == list(range(7))
 
@@ -282,26 +297,25 @@ class TestClusterVariance:
 
 
 class TestRecursiveBisection:
-    def _cov(self, values):
-        values = np.asarray(values, dtype=float)
-        return CovMatrix(tickers(values.shape[0]), values)
+    def _bisect(self, values, order):
+        return hrp.recursive_bisection(checked_covariance(values), order, tickers(len(values)))
 
     def test_two_assets(self):
-        port = hrp.recursive_bisection(self._cov(np.diag([1.0, 2.0])), [0, 1])
+        port = self._bisect(np.diag([1.0, 2.0]), [0, 1])
         assert port.weights == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
     def test_isotropic_equal_weights(self):
-        port = hrp.recursive_bisection(self._cov(0.5 * np.eye(4)), [0, 1, 2, 3])
+        port = self._bisect(0.5 * np.eye(4), [0, 1, 2, 3])
         assert port.weights == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_hand_traced_four_assets(self):
-        port = hrp.recursive_bisection(self._cov(np.diag([1.0, 1.0, 2.0, 2.0])), [0, 1, 2, 3])
+        port = self._bisect(np.diag([1.0, 1.0, 2.0, 2.0]), [0, 1, 2, 3])
         assert port.weights == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6], abs=1e-12)
 
     @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
     def test_rejects_an_order_that_is_no_permutation_of_the_assets(self, order):
         with pytest.raises(ValueError, match="permutation"):
-            hrp.recursive_bisection(self._cov(np.eye(3)), order)
+            self._bisect(np.eye(3), order)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -310,7 +324,7 @@ class TestRecursiveBisection:
         n = int(rng.integers(2, 9))
         variances = rng.uniform(0.2, 5.0, size=n)
         order = rng.permutation(n).tolist()
-        port = hrp.recursive_bisection(self._cov(np.diag(variances)), order)
+        port = self._bisect(np.diag(variances), order)
         ivp = (1 / variances) / (1 / variances).sum()
         assert np.max(np.abs(port.weights - ivp)) < 1e-9
 
@@ -372,10 +386,10 @@ class TestHrpWeights:
         values = rng.normal(0, 0.01, size=(500, 6)) @ chol.T
         rets = make_returns(values[:, rng.permutation(6)])
         corr = correlation(rets)
-        tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(corr)))
+        tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(corr, rets.tickers)))
         order = hrp.quasi_diag_order(tree)
-        reordered = np.abs(corr.values[np.ix_(order, order)])
-        raw = np.abs(corr.values)
+        reordered = np.abs(corr[np.ix_(order, order)])
+        raw = np.abs(corr)
         idx = np.arange(6)
         band = np.abs(idx[:, None] - idx[None, :]) <= 1
         assert reordered[band].sum() >= raw[band].sum()

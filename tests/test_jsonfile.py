@@ -53,10 +53,10 @@ def test_report_bytes_match_reference(tmp_path):
         "risk": report.annual_risk,
         "risk_free": 0.01,
         "sharpe": report.sharpe,
-        "curve": [[d.isoformat(), float(v)] for d, v in zip(returns.dates, report.curve.values)],
+        "curve": [[d.isoformat(), float(v)] for d, v in zip(returns.dates, report.curve)],
     }
     assert path.read_text(encoding="utf-8") == _reference(payload)
-    assert np.array_equal(backtest.read_report(path).curve.values, report.curve.values)
+    assert np.array_equal(backtest.read_report(path).curve, report.curve)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -69,6 +69,22 @@ class TestLoadPrices:
             load_prices(path)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize(
+        ("header", "column", "ticker"),
+        [("date,A,A", 3, "A"), ("date,A,B,A", 4, "A"), ("date,A,B, B", 4, "B")],
+    )
+    def test_repeated_ticker_is_schema_error(self, tmp_path, header, column, ticker):
+        cells = ",".join(["100"] * header.count(","))
+        rows = "".join(f"2019-01-0{d},{cells}\n" for d in (1, 2, 3))
+        path = _write(tmp_path, header + "\n" + rows)
+        with pytest.raises(SchemaError) as exc:
+            load_prices(path)
+        assert str(exc.value) == f"{path}: column {column} repeats ticker {ticker!r}"
+
+    def test_price_table_rejects_repeated_tickers(self):
+        with pytest.raises(SchemaError, match="duplicate ticker names"):
+            PriceTable(weekday_dates(date(2019, 1, 1), 3), ("A", "A"), np.ones((3, 2)))
+
     def test_non_monotone_dates(self, tmp_path):
         text = (
             "date,A,B\n"

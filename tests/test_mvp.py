@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cov_matrix, random_cov, read_frontier_csv
+from helpers import random_cov, read_frontier_csv
 from oracles import SingularMatrixError, closed_form_min_variance
 from portlab import mvp
+from portlab.analytics import checked_covariance
 from portlab.errors import NonFiniteError
 
 
@@ -20,8 +21,8 @@ def synthetic_ten_asset_case():
 
 
 def sample_cloud(mu, sigma, count: int, risk_free: float, seed: int) -> mvp.FrontierCloud:
-    """``mvp.sample_portfolios`` on a bare covariance array, annualized by 252 days."""
-    return mvp.sample_portfolios(mu, cov_matrix(sigma), count, risk_free, seed, 252)
+    """``mvp.sample_portfolios`` on a checked covariance array, annualized by 252 days."""
+    return mvp.sample_portfolios(mu, checked_covariance(sigma), count, risk_free, seed, 252)
 
 
 def annual_vol(weights: np.ndarray, sigma: np.ndarray, trading_days: int = 252) -> float:
