@@ -6,6 +6,12 @@ for equal weight, MVP and HRP (fitted once on the train split), or one
 annualized risk, Sharpe, and the compounded cumulative-return curve for
 one (method, phase) pair; the comparison table collects test-phase
 Sharpe ratios in the fixed column order MVP, HRP, EQUAL, RL.
+
+The report half (:class:`BacktestReport`, :func:`read_report`,
+:func:`write_report`, :func:`compare_methods`,
+:func:`write_comparison_csv`) needs no numpy, so ``compare``, which reads
+saved reports and writes the comparison table, never imports it. Only
+:func:`run_backtest` imports the numpy-backed analytics, on its call.
 """
 
 from __future__ import annotations
@@ -16,12 +22,15 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytics import ReturnTable, annualize, schedule_returns, sharpe_ratio
 from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .analytics import ReturnTable
 
 METHOD_ORDER = ("MVP", "HRP", "EQUAL", "RL")
 
@@ -38,16 +47,16 @@ class BacktestReport:
     risk_free: float
     sharpe: float
     dates: tuple[date, ...]
-    curve: np.ndarray
+    curve: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        curve = np.array(self.curve, dtype=float)
-        if curve.shape != (len(self.dates),):
+        curve = tuple(self.curve)
+        if len(curve) != len(self.dates):
             raise ValueError("curve values must align with curve dates")
-        # a report read back by compare is outside input
-        if not np.all(np.isfinite(curve)):
+        # a report read back by compare is outside input: a JSON null,
+        # string, bool or out-of-range integer is no curve value
+        if not all(_finite_real(v) for v in curve):
             raise ValueError("curve values must be finite")
-        curve.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "curve", curve)
         if self.phase not in ("train", "test"):
@@ -60,6 +69,15 @@ class BacktestReport:
         implied = (self.annual_return - self.risk_free) / self.annual_risk
         if not abs(self.sharpe - implied) <= 1e-9:
             raise ValueError("stored Sharpe inconsistent with return/risk/risk-free")
+
+
+def _finite_real(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def run_backtest(
@@ -78,6 +96,10 @@ def run_backtest(
     risk from :func:`portlab.analytics.annualize`. Raises
     :class:`NonFiniteError` if either overflows float64.
     """
+    import numpy as np
+
+    from .analytics import annualize, schedule_returns, sharpe_ratio
+
     daily, curve = schedule_returns(returns, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         annual_return, annual_risk = annualize(daily, trading_days)
@@ -163,8 +185,9 @@ def read_report(path: str | Path) -> BacktestReport:
         )
     except KeyError as exc:
         raise ReportFormatError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+    except (TypeError, ValueError, OverflowError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors too;
+        # OverflowError is a JSON integer beyond the float range
         raise ReportFormatError(f"{path}: {exc}") from None
 
 

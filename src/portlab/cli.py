@@ -7,32 +7,60 @@ are plot data (CSV/JSON), never images, and are byte-identical across
 reruns with the same config and data. Output precedence for the
 destination directory is ``--out`` > ``PLAB_OUT`` > config; ``PLAB_SEED``
 overrides the configured seed.
+
+Each process runs one command, and its start-up is a large share of a
+short command's time. So this module imports only argparse, the config
+and the error types; each command imports the layers it runs when it
+runs. ``compare`` never loads numpy, and ``mvp`` and ``hrp`` never load
+the agent. Five library functions stay module attributes, called through
+this module's globals: ``load_prices``, ``train``, ``evaluate``,
+``save_qnetwork`` and ``load_qnetwork``. The benchmark's tracer
+(perfbench/tracer.py) wraps them here, in this namespace, so each is a
+stand-in that imports its module on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-import numpy as np
-
-from . import analytics, backtest, hrp, mvp
 from .config import RunConfig, load_config, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
-from .floatcsv import write_float_csv
-from .jsonfile import write_json
-from .market_data import DateSplit, forward_fill, load_prices, split_by_date
-from .rl.agent import evaluate, train, write_training_log
-from .rl.env import feature_dim, num_actions
-from .rl.network import load_qnetwork, save_qnetwork
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .analytics import ReturnTable
+    from .backtest import BacktestReport
+    from .mvp import Portfolio
+
+
+def _lazy(module: str, name: str) -> Callable:
+    """A stand-in for ``portlab.<module>.<name>`` that imports the module when called."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+load_prices = _lazy("market_data", "load_prices")
+train = _lazy("rl.agent", "train")
+evaluate = _lazy("rl.agent", "evaluate")
+save_qnetwork = _lazy("rl.network", "save_qnetwork")
+load_qnetwork = _lazy("rl.network", "load_qnetwork")
 
 
 def cmd_mvp(config: RunConfig) -> None:
     """Monte-Carlo frontier, min-risk/max-Sharpe portfolios, EW baseline."""
+    from . import analytics, mvp
+
     data = _PreparedData(config)
     out = _ensure_out(config)
     # covariance first: it reports fewer than 2 rows and overflowing squares
@@ -65,6 +93,9 @@ def cmd_mvp(config: RunConfig) -> None:
 
 def cmd_hrp(config: RunConfig) -> None:
     """HRP weights plus the merge tree and weight-bar plot data."""
+    from . import hrp
+    from .jsonfile import write_json
+
     data = _PreparedData(config)
     out = _ensure_out(config)
     tree, portfolio = hrp.hrp_weights(data.train_returns)
@@ -80,6 +111,8 @@ def cmd_hrp(config: RunConfig) -> None:
 
 def cmd_rl_train(config: RunConfig) -> None:
     """Train the DQN agent on the train split; save model and episode log."""
+    from .rl.agent import write_training_log
+
     data = _PreparedData(config)
     out = _ensure_out(config)
     net, log = train(data.train_returns, config.rl, config.trading_days)
@@ -89,6 +122,9 @@ def cmd_rl_train(config: RunConfig) -> None:
 
 def cmd_rl_eval(config: RunConfig) -> None:
     """Greedy rollout of a trained model on both splits; test curve and reports."""
+    from .floatcsv import write_float_csv
+    from .rl.env import feature_dim, num_actions
+
     data = _PreparedData(config)
     out = _ensure_out(config)
     model_path = out / "rl_model.txt"
@@ -112,6 +148,8 @@ def cmd_rl_eval(config: RunConfig) -> None:
 
 def cmd_compare(config: RunConfig) -> None:
     """Collect previously written reports into the comparison matrix CSV."""
+    from . import backtest
+
     out = _ensure_out(config)
     paths = sorted(out.glob("report_*.json"))
     if not paths:
@@ -125,6 +163,9 @@ class _PreparedData:
     """Cleaned, split return tables shared by every command."""
 
     def __init__(self, config: RunConfig):
+        from . import analytics
+        from .market_data import DateSplit, forward_fill, split_by_date
+
         table = forward_fill(load_prices(config.data))
         split = DateSplit(config.train_end, config.test_start)
         train_table, test_table = split_by_date(table, split)
@@ -142,11 +183,11 @@ def _ensure_out(config: RunConfig) -> Path:
 
 def _write_reports(
     method: str,
-    weights_for: Callable[[analytics.ReturnTable], np.ndarray],
+    weights_for: Callable[[ReturnTable], np.ndarray],
     data: _PreparedData,
     config: RunConfig,
     out: Path,
-) -> tuple[np.ndarray, backtest.BacktestReport]:
+) -> tuple[np.ndarray, BacktestReport]:
     """Score ``weights_for(returns)`` on the train then the test split.
 
     The weights are one ``(N,)`` row held on every date (the static
@@ -155,6 +196,8 @@ def _write_reports(
     ``report_<method>_<phase>.json`` for each split and returns the
     test-phase weights and report.
     """
+    from . import backtest
+
     for phase, returns in (("train", data.train_returns), ("test", data.test_returns)):
         weights = weights_for(returns)
         report = backtest.run_backtest(
@@ -170,7 +213,9 @@ def _write_reports(
     return weights, report
 
 
-def write_portfolio_json(portfolio: mvp.Portfolio, method: str, path: Path) -> None:
+def write_portfolio_json(portfolio: Portfolio, method: str, path: Path) -> None:
+    from .jsonfile import write_json
+
     payload = {
         "method": method,
         "tickers": list(portfolio.tickers),
@@ -200,7 +245,7 @@ _COMMANDS = {
 }
 
 
-def _load_and_override(config_path: Path, out_flag: Path | None) -> RunConfig:
+def _load_and_override(config_path: Path, out_flag: str | None) -> RunConfig:
     config = load_config(config_path)
     seed_env = os.environ.get("PLAB_SEED")
     if seed_env is not None:
@@ -212,7 +257,13 @@ def _load_and_override(config_path: Path, out_flag: Path | None) -> RunConfig:
             config = with_seed(config, seed)
         except ValueError as exc:
             raise ConfigError(f"PLAB_SEED: {exc}") from None
-    out_dir = out_flag if out_flag is not None else os.environ.get("PLAB_OUT")
+    if out_flag is not None:
+        source, out_dir = "--out", out_flag
+    else:
+        source, out_dir = "PLAB_OUT", os.environ.get("PLAB_OUT")
+    # Path("") is Path("."): an empty value would write into the working directory
+    if out_dir == "":
+        raise ConfigError(f"{source} must name an output directory, got ''")
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     return config
@@ -227,7 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--config", type=Path, required=True, help="run config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory override")
+        # a str, not a Path, so that an empty value can be told from "."
+        p.add_argument("--out", default=None, help="output directory override")
     args = parser.parse_args(argv)
 
     try:

@@ -47,6 +47,13 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _parse_path(raw: str) -> Path:
+    # Path("") is Path("."), which no key means
+    if not raw:
+        raise ValueError("empty path")
+    return Path(raw)
+
+
 def _parse_dims(raw: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
 
@@ -54,7 +61,7 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
 _PARSERS: dict[Any, Callable[[str], Any]] = {
     int: int,
     float: float,
-    Path: Path,
+    Path: _parse_path,
     date: date.fromisoformat,
     tuple[int, ...]: _parse_dims,
 }

@@ -86,8 +86,11 @@ def test_risk_must_be_positive(risk):
         ([[0.0, 0.01]], "curve values must align with curve dates"),
         ([0.0, np.nan], "curve values must be finite"),
         ([np.inf, 0.0], "curve values must be finite"),
+        ([0.0, 10**400], "curve values must be finite"),
+        ([0.0, "0.5"], "curve values must be finite"),
+        ([0.0, True], "curve values must be finite"),
     ],
-    ids=["short", "two-axes", "nan", "inf"],
+    ids=["short", "two-axes", "nan", "inf", "huge-integer", "numeric-string", "bool"],
 )
 def test_report_curve_must_align_with_its_dates_and_be_finite(curve, message):
     with pytest.raises(ValueError, match=message):

@@ -2,8 +2,10 @@
 
 Bad input (a malformed saved model or report, an out-of-range config
 value, an allocation too large for the address space, a file that is
-not UTF-8, an empty or repeated ticker name, prices whose returns or
-statistics overflow) gives exit 1 and one ``error:`` line; a full
+not UTF-8, an empty or repeated ticker name, an empty output directory,
+prices whose returns or statistics overflow) gives exit 1 and one
+``error:`` line; ``import portlab.cli`` and ``compare`` load no numpy,
+and ``mvp`` and ``hrp`` load no module of the agent; a full
 pipeline run writes the same bytes every time; the configured ``trading_days`` reaches the
 agent's reward; the bundled fixture regenerates byte for byte.
 """
@@ -13,7 +15,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr
@@ -136,6 +141,17 @@ def _edit_report(**fields):
             _edit_report(curve=[["2019-01-01", math.inf], ["2019-01-02", 0.0]]),
             "curve values must be finite",
         ),
+        # json.loads reads an integer of any size; float() of this one overflows
+        (_edit_report(risk=10**400), "int too large to convert to float"),
+        (
+            _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", 10**400]]),
+            "curve values must be finite",
+        ),
+        # a string is no curve value, even one that float() would parse
+        (
+            _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", "0.5"]]),
+            "curve values must be finite",
+        ),
     ],
     ids=[
         "truncated",
@@ -146,6 +162,9 @@ def _edit_report(**fields):
         "null-curve-cell",
         "nan-curve-cell",
         "infinity-curve-cell",
+        "huge-integer-risk",
+        "huge-integer-curve-cell",
+        "numeric-string-curve-cell",
     ],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
@@ -311,6 +330,91 @@ def test_output_directory_is_out_flag_then_plab_out_then_config(
     assert cli.main(argv) == 0
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == [expected]
     assert (tmp_path / expected / "hrp_weights.json").exists()
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["plab-out", "out-flag"])
+def test_empty_output_directory_gives_one_line_error(
+    tmp_path, fixture_csv, capsys, monkeypatch, flag
+):
+    # Path("") is Path("."), so an empty value would write into the working directory
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv)
+    monkeypatch.chdir(tmp_path)
+    if flag:
+        monkeypatch.delenv("PLAB_OUT", raising=False)
+    else:
+        monkeypatch.setenv("PLAB_OUT", "")
+    argv = ["hrp", "--config", str(config)] + (["--out", ""] if flag else [])
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert f"{'--out' if flag else 'PLAB_OUT'} must name an output directory, got ''" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+_MODULES_AFTER_EACH_STEP = """
+import json, sys
+from portlab import cli
+config, out, *commands = sys.argv[1:]
+steps = [("import", 0, sorted(sys.modules))]
+for command in commands:
+    code = cli.main([command, "--config", config, "--out", out])
+    steps.append((command, code, sorted(sys.modules)))
+print(json.dumps(steps))
+"""
+
+
+def _modules_after_each_step(config, out, *commands) -> dict[str, tuple[int, list[str]]]:
+    """Import the CLI, then run ``commands``, in one fresh interpreter.
+
+    Maps ``"import"`` and each command to its exit code and the module
+    names loaded so far.
+    """
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_EACH_STEP, str(config), str(out), *commands],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stderr == ""
+    return {step: (code, modules) for step, code, modules in json.loads(proc.stdout)}
+
+
+def _under(package: str, modules: list[str]) -> list[str]:
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_import_and_compare_load_no_numpy(tmp_path, fixture_csv):
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, "mc_samples = 100\n")
+    out = tmp_path / "out"
+    for command in ("mvp", "hrp"):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    steps = _modules_after_each_step(config, out, "compare")
+    assert _under("numpy", steps["import"][1]) == []
+    code, modules = steps["compare"]
+    assert code == 0
+    assert "portlab.backtest" in modules
+    assert _under("numpy", modules) == []
+    assert (out / "comparison.csv").read_text(encoding="utf-8").startswith(
+        "dataset,MVP,HRP,EQUAL,RL\n"
+    )
+
+
+def test_mvp_and_hrp_load_no_module_of_the_agent(tmp_path, fixture_csv):
+    config = tmp_path / "run.cfg"
+    _write_config(config, fixture_csv, "mc_samples = 100\n")
+    steps = _modules_after_each_step(config, tmp_path / "out", "hrp", "mvp")
+    for command in ("hrp", "mvp"):
+        code, modules = steps[command]
+        assert code == 0
+        assert "numpy" in modules
+        # the config parses the rl.* keys into portlab.rl.params.Hyperparams
+        assert _under("portlab.rl", modules) == ["portlab.rl", "portlab.rl.params"]
 
 
 def test_rl_train_refuses_to_save_a_model_that_overflowed(tmp_path, capsys):

@@ -114,8 +114,11 @@ def test_with_seed_repins_both_seeds(tmp_path):
         ("risk_free = high\n", ":4: bad value 'high' for key 'risk_free'"),
         ("rl.hidden_dims = 8,x\n", ":4: bad value '8,x' for key 'rl.hidden_dims'"),
         ("train_end 2019-05-03\n", ":4: expected 'key = value'"),
+        # Path("") would be the working directory
+        ("out_dir =\n", ":4: bad value '' for key 'out_dir'"),
     ],
-    ids=["unknown", "unknown-rl", "duplicate", "bad-int", "bad-float", "bad-dims", "no-equals"],
+    ids=["unknown", "unknown-rl", "duplicate", "bad-int", "bad-float", "bad-dims", "no-equals",
+         "empty-path"],
 )
 def test_line_errors_name_the_line_and_key(tmp_path, extra, where):
     with pytest.raises(ConfigError) as info:
