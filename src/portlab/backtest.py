@@ -63,6 +63,12 @@ class BacktestReport:
             raise ValueError(f"phase must be train or test, got {self.phase!r}")
         if not (isinstance(self.method, str) and isinstance(self.dataset, str)):
             raise ValueError("method and dataset must be strings")
+        # the same holds for the scalars; a NaN passes here to fail a check
+        # below with its reason
+        for name in ("annual_return", "annual_risk", "risk_free", "sharpe"):
+            value = getattr(self, name)
+            if not (_finite_real(value) or value != value):
+                raise ValueError(f"{name} must be a finite number")
         # written as not (x > 0) so that NaN fails
         if not self.annual_risk > 0:
             raise ValueError(f"annual risk must be > 0, got {self.annual_risk!r}")
@@ -176,10 +182,10 @@ def read_report(path: str | Path) -> BacktestReport:
             method=payload["method"],
             phase=payload["phase"],
             dataset=payload["dataset"],
-            annual_return=float(payload["annual_return"]),
-            annual_risk=float(payload["risk"]),
-            risk_free=float(payload["risk_free"]),
-            sharpe=float(payload["sharpe"]),
+            annual_return=payload["annual_return"],
+            annual_risk=payload["risk"],
+            risk_free=payload["risk_free"],
+            sharpe=payload["sharpe"],
             dates=tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
             curve=[v for _, v in payload["curve"]],
         )

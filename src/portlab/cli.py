@@ -4,15 +4,18 @@ Subcommands ``mvp``, ``hrp``, ``rl-train``, ``rl-eval``, and ``compare``
 each take ``--config <path>`` and an optional ``--out <dir>``. Every
 command fits on the train split and reports on both splits; all outputs
 are plot data (CSV/JSON), never images, and are byte-identical across
-reruns with the same config and data. Output precedence for the
-destination directory is ``--out`` > ``PLAB_OUT`` > config; ``PLAB_SEED``
-overrides the configured seed.
+reruns with the same config and data. A portfolio is its ``(N,)``
+weight row, in the order of the tickers of :class:`_PreparedData`;
+:func:`write_portfolio_json` writes the two side by side. Output
+precedence for the destination directory is ``--out`` > ``PLAB_OUT`` >
+config; ``PLAB_SEED`` overrides the configured seed.
 
 Each process runs one command, and its start-up is a large share of a
 short command's time. So this module imports only argparse, the config
 and the error types; each command imports the layers it runs when it
-runs. ``compare`` never loads numpy, and ``mvp`` and ``hrp`` never load
-the agent. Five library functions stay module attributes, called through
+runs. ``compare`` never loads numpy, ``mvp`` and ``hrp`` never load
+the agent, and ``hrp`` loads neither :mod:`~portlab.mvp` nor the CSV
+writer. Five library functions stay module attributes, called through
 this module's globals: ``load_prices``, ``train``, ``evaluate``,
 ``save_qnetwork`` and ``load_qnetwork``. The benchmark's tracer
 (perfbench/tracer.py) wraps them here, in this namespace, so each is a
@@ -37,7 +40,6 @@ if TYPE_CHECKING:
 
     from .analytics import ReturnTable
     from .backtest import BacktestReport
-    from .mvp import Portfolio
 
 
 def _lazy(module: str, name: str) -> Callable:
@@ -77,18 +79,19 @@ def cmd_mvp(config: RunConfig) -> None:
     curve_rows = mvp.efficient_frontier(cloud, config.frontier_bins)
     mvp.write_frontier_rows(cloud, curve_rows, out / "frontier_curve.csv")
 
-    mvp_portfolio = mvp.Portfolio(data.tickers, cloud.weights[mvp.min_risk_row(cloud)])
-    write_portfolio_json(mvp_portfolio, "MVP", out / "mvp_weights.json")
+    min_risk = cloud[mvp.min_risk_row(cloud), mvp.FIRST_WEIGHT :]
+    write_portfolio_json(data.tickers, min_risk, "MVP", out / "mvp_weights.json")
     write_portfolio_json(
-        mvp.Portfolio(data.tickers, cloud.weights[mvp.max_sharpe_row(cloud)]),
+        data.tickers,
+        cloud[mvp.max_sharpe_row(cloud), mvp.FIRST_WEIGHT :],
         "MVP_MAX_SHARPE",
         out / "mvp_max_sharpe_weights.json",
     )
-    ew = mvp.equal_weight(data.tickers)
-    write_portfolio_json(ew, "EQUAL", out / "equal_weights.json")
+    ew = mvp.equal_weight(len(data.tickers))
+    write_portfolio_json(data.tickers, ew, "EQUAL", out / "equal_weights.json")
 
-    _write_reports("MVP", lambda _: mvp_portfolio.weights, data, config, out)
-    _write_reports("EQUAL", lambda _: ew.weights, data, config, out)
+    _write_reports("MVP", lambda _: min_risk, data, config, out)
+    _write_reports("EQUAL", lambda _: ew, data, config, out)
 
 
 def cmd_hrp(config: RunConfig) -> None:
@@ -98,15 +101,13 @@ def cmd_hrp(config: RunConfig) -> None:
 
     data = _PreparedData(config)
     out = _ensure_out(config)
-    tree, portfolio = hrp.hrp_weights(data.train_returns)
+    tree, weights = hrp.hrp_weights(data.train_returns)
 
     write_json(out / "hrp_linkage.json", hrp.linkage_to_records(tree))
-    _write_repr_column(
-        out / "hrp_weight_bars.csv", "ticker,weight", portfolio.tickers, portfolio.weights
-    )
-    write_portfolio_json(portfolio, "HRP", out / "hrp_weights.json")
+    _write_repr_column(out / "hrp_weight_bars.csv", "ticker,weight", data.tickers, weights)
+    write_portfolio_json(data.tickers, weights, "HRP", out / "hrp_weights.json")
 
-    _write_reports("HRP", lambda _: portfolio.weights, data, config, out)
+    _write_reports("HRP", lambda _: weights, data, config, out)
 
 
 def cmd_rl_train(config: RunConfig) -> None:
@@ -213,13 +214,16 @@ def _write_reports(
     return weights, report
 
 
-def write_portfolio_json(portfolio: Portfolio, method: str, path: Path) -> None:
+def write_portfolio_json(
+    tickers: tuple[str, ...], weights: np.ndarray, method: str, path: Path
+) -> None:
+    """``{method, tickers, weights}``: one ``(N,)`` weight row, in the order of ``tickers``."""
     from .jsonfile import write_json
 
     payload = {
         "method": method,
-        "tickers": list(portfolio.tickers),
-        "weights": [float(w) for w in portfolio.weights],
+        "tickers": list(tickers),
+        "weights": [float(w) for w in weights],
     }
     write_json(path, payload)
 

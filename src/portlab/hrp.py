@@ -11,6 +11,8 @@ The tree is an ``(n - 1, 4)`` float array in the linkage layout of
 ``scipy.cluster.hierarchy``: row ``s`` holds merge ``s``'s two child ids
 (leaves ``0..n-1``; merge ``s`` forms node ``n + s``), its distance and its
 leaf count. :func:`linkage_to_records` gives the records in ``hrp_linkage.json``.
+The weights are an ``(n,)`` array in the order of the return table's
+tickers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .analytics import VARIANCE_FLOOR, ReturnTable, correlation, covariance, square_matrix
-from .mvp import Portfolio
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,8 @@ def cluster_variance(cov_sub: np.ndarray) -> float:
     return float(w @ v @ w)
 
 
-def recursive_bisection(cov: np.ndarray, order: list[int], tickers: Sequence[str]) -> Portfolio:
-    """Top-down weights of ``tickers`` over the seriated asset list ``order``.
+def recursive_bisection(cov: np.ndarray, order: list[int]) -> np.ndarray:
+    """Top-down weights of the covariance's assets over the seriated asset list ``order``.
 
     ``order`` must be a permutation of the covariance's asset indices, as
     :func:`quasi_diag_order` returns. All weights start at 1. Each cluster
@@ -209,13 +210,13 @@ def recursive_bisection(cov: np.ndarray, order: list[int], tickers: Sequence[str
         stack.append(left)
         stack.append(right)
     weights /= weights.sum()
-    return Portfolio(tickers, weights)
+    return weights
 
 
-def hrp_weights(returns: ReturnTable) -> tuple[np.ndarray, Portfolio]:
+def hrp_weights(returns: ReturnTable) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline from a return table to the merge tree and the HRP weights."""
     tree = single_linkage(codistance(corr_distance(correlation(returns), returns.tickers)))
-    return tree, recursive_bisection(covariance(returns), quasi_diag_order(tree), returns.tickers)
+    return tree, recursive_bisection(covariance(returns), quasi_diag_order(tree))
 
 
 def linkage_to_records(tree: np.ndarray) -> list[dict]:

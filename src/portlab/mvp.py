@@ -6,100 +6,40 @@ optimum-risk portfolio its highest-Sharpe point. The closed-form
 sum-to-one minimum-variance solution that the sampler is tested against
 lives in ``tests/oracles.py``.
 
-The cloud is held as arrays, one row per sampled portfolio: volatilities,
-returns and Sharpe ratios of shape ``(count,)`` and weights of shape
-``(count, n)``. Selections (minimum risk, maximum Sharpe, the efficient
-frontier's bins) are row indices into those arrays.
+The cloud is one read-only float64 array of shape ``(count, 3 + N)``,
+one row per sampled portfolio, in the columns of ``frontier.csv``:
+annual volatility, annual return, Sharpe ratio, then the N weights
+``w1..wN`` (columns :data:`VOLATILITY`, :data:`RETURN`, :data:`SHARPE`
+and ``FIRST_WEIGHT:``). Selections (minimum risk, maximum Sharpe, the
+efficient frontier's bins) are row indices into it. A portfolio is its
+``(N,)`` weight row, in the order of the tickers it was fitted on.
 
-The cloud is held once: :class:`FrontierCloud` adopts the float64 arrays
-:func:`sample_portfolios` fills and sets them read-only instead of
-copying them, and the frontier writers hand those arrays and a row
-selection to :func:`~portlab.floatcsv.write_float_csv`, which stacks
+The cloud is held once: :func:`sample_portfolios` fills it in place,
+and the frontier writers hand it and a row selection to
+:func:`~portlab.floatcsv.write_float_csv` as one piece, which formats
 one small block of rows at a time rather than the whole table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .analytics import on_simplex
 from .errors import NonFiniteError, UndefinedSharpeError
 from .floatcsv import write_float_csv
 
 _CHUNK = 1000  # sampling chunk; fixed so clouds are prefix-stable across counts
 
-
-@dataclass(frozen=True)
-class Portfolio:
-    """Named long-only weight vector on the unit simplex."""
-
-    tickers: tuple[str, ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        if weights.shape != (len(self.tickers),):
-            raise ValueError("weights must align with tickers")
-        if not on_simplex(weights):
-            raise ValueError(f"weights must be >= 0 and sum to 1, got sum {float(weights.sum())!r}")
-        weights.setflags(write=False)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "weights", weights)
+# columns of the cloud
+VOLATILITY, RETURN, SHARPE, FIRST_WEIGHT = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class FrontierCloud:
-    """The full Monte-Carlo sample as read-only arrays; deterministic for a fixed seed.
-
-    Row ``i`` of every array describes sampled portfolio ``i``:
-    ``volatilities`` and ``returns`` are annualized, ``sharpes`` is
-    ``(returns - risk_free) / volatilities`` and ``weights`` is
-    ``(count, n)`` with every row on the unit simplex. A float64 array
-    that owns its data is kept as given and made read-only; anything
-    else (a list, another dtype, a view) is copied first.
-    """
-
-    volatilities: np.ndarray
-    returns: np.ndarray
-    sharpes: np.ndarray
-    weights: np.ndarray
-    risk_free: float
-
-    def __post_init__(self) -> None:
-        for name in ("volatilities", "returns", "sharpes", "weights"):
-            values = getattr(self, name)
-            # adopt a float64 array that owns its data (no second copy of
-            # the cloud); copy anything else, so no writable view aliases it
-            if not (type(values) is np.ndarray and values.dtype == np.float64
-                    and values.flags.owndata):
-                values = np.array(values, dtype=float)
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
-        count = self.volatilities.shape[0] if self.volatilities.ndim == 1 else -1
-        if count < 1:
-            raise ValueError("volatilities must be a non-empty 1-D array")
-        if self.returns.shape != (count,) or self.sharpes.shape != (count,):
-            raise ValueError("returns and sharpes must have one entry per volatility")
-        if self.weights.ndim != 2 or self.weights.shape[0] != count or not self.weights.size:
-            raise ValueError("weights must be a (count, n) array with n >= 1")
-        if not on_simplex(self.weights):
-            raise ValueError("every sampled weight vector must lie on the simplex")
-        if not np.all(self.volatilities > 0):
-            raise ValueError("volatilities must be positive")
-        implied = (self.returns - self.risk_free) / self.volatilities
-        if not np.max(np.abs(self.sharpes - implied)) <= 1e-9:
-            raise ValueError("stored Sharpe values inconsistent with return/volatility")
-
-
-def equal_weight(tickers: Sequence[str]) -> Portfolio:
+def equal_weight(n: int) -> np.ndarray:
     """1/n in each of the n assets."""
-    if not tickers:
+    if n < 1:
         raise ValueError("need at least one asset")
-    return Portfolio(tickers, np.full(len(tickers), 1.0 / len(tickers)))
+    return np.full(n, 1.0 / n)
 
 
 def sample_portfolios(
@@ -109,14 +49,15 @@ def sample_portfolios(
     risk_free: float,
     seed: int,
     trading_days: int,
-) -> FrontierCloud:
-    """Draw ``count`` random long-only portfolios and score each one.
+) -> np.ndarray:
+    """Draw ``count`` random long-only portfolios and score each one; return the cloud.
 
     Weights are N independent uniform(0,1) draws normalized to sum 1.
     ``mu`` is annual mean returns; ``cov`` is the daily covariance array, so
     volatility is annualized here. Sampling is chunked with one child
     RNG stream per chunk, which makes the cloud a deterministic function
     of the seed and prefix-stable in ``count``. Raises
+    :class:`UndefinedSharpeError` for a zero volatility and
     :class:`NonFiniteError` if a volatility or Sharpe ratio overflows float64.
     """
     if count < 1:
@@ -126,17 +67,13 @@ def sample_portfolios(
     if cov.shape != (n, n):
         raise ValueError("mu and covariance dimensions do not match")
 
-    n_chunks = (count + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    vols = np.empty(count)
-    rets = np.empty(count)
-    sharpes = np.empty(count)
-    weights = np.empty((count, n))
-    for chunk_idx in range(n_chunks):
-        lo = chunk_idx * _CHUNK
-        hi = min(lo + _CHUNK, count)
-        rng = np.random.default_rng(streams[chunk_idx])
-        draws = rng.uniform(size=(hi - lo, n))
+    # the cloud first: a count beyond memory fails here at once, before
+    # a child stream is spawned for each of its chunks
+    cloud = np.empty((count, FIRST_WEIGHT + n))
+    streams = np.random.SeedSequence(seed).spawn((count + _CHUNK - 1) // _CHUNK)
+    for chunk_idx, stream in enumerate(streams):
+        rows = cloud[chunk_idx * _CHUNK : (chunk_idx + 1) * _CHUNK]
+        draws = np.random.default_rng(stream).uniform(size=(rows.shape[0], n))
         w = draws / draws.sum(axis=1, keepdims=True)
         variances = np.maximum(np.einsum("ij,jk,ik->i", w, cov, w), 0.0)
         r = w @ mu
@@ -151,29 +88,30 @@ def sample_portfolios(
                 "annual volatility or Sharpe ratio (at risk_free "
                 f"{risk_free!r}) of a sampled portfolio overflows float64"
             )
-        weights[lo:hi] = w
-        vols[lo:hi] = v
-        rets[lo:hi] = r
-        sharpes[lo:hi] = s
-    return FrontierCloud(vols, rets, sharpes, weights, risk_free)
+        rows[:, VOLATILITY] = v
+        rows[:, RETURN] = r
+        rows[:, SHARPE] = s
+        rows[:, FIRST_WEIGHT:] = w
+    cloud.setflags(write=False)
+    return cloud
 
 
-def min_risk_row(cloud: FrontierCloud) -> int:
+def min_risk_row(cloud: np.ndarray) -> int:
     """Row of the cloud's leftmost point: minimum volatility, ties to the lower index."""
-    return int(np.argmin(cloud.volatilities))
+    return int(np.argmin(cloud[:, VOLATILITY]))
 
 
-def max_sharpe_row(cloud: FrontierCloud) -> int:
+def max_sharpe_row(cloud: np.ndarray) -> int:
     """Row of the cloud's optimum-risk point: maximum Sharpe, ties to the lower index."""
-    return int(np.argmax(cloud.sharpes))
+    return int(np.argmax(cloud[:, SHARPE]))
 
 
-def efficient_frontier(cloud: FrontierCloud, bins: int) -> np.ndarray:
+def efficient_frontier(cloud: np.ndarray, bins: int) -> np.ndarray:
     """Rows of the maximum-return point per volatility bin, ordered by volatility."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    vols = cloud.volatilities
-    rets = cloud.returns
+    vols = cloud[:, VOLATILITY]
+    rets = cloud[:, RETURN]
     vmin = float(vols.min())
     vmax = float(vols.max())
     if vmax == vmin:
@@ -192,14 +130,13 @@ def efficient_frontier(cloud: FrontierCloud, bins: int) -> np.ndarray:
     return np.array(chosen, dtype=np.intp)
 
 
-def write_frontier_csv(cloud: FrontierCloud, path: str | Path) -> None:
+def write_frontier_csv(cloud: np.ndarray, path: str | Path) -> None:
     """Dump the cloud as ``volatility,return,sharpe,w1..wN`` (one row per point)."""
     write_frontier_rows(cloud, slice(None), path)
 
 
-def write_frontier_rows(cloud: FrontierCloud, rows: np.ndarray | slice, path: str | Path) -> None:
+def write_frontier_rows(cloud: np.ndarray, rows: np.ndarray | slice, path: str | Path) -> None:
     """Write the cloud's rows ``rows`` (indices or a slice) in the layout above."""
-    n_assets = cloud.weights.shape[1]
+    n_assets = cloud.shape[1] - FIRST_WEIGHT
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
-    columns = [cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights]
-    write_float_csv(path, header, columns, rows=rows)
+    write_float_csv(path, header, [cloud], rows=rows)

@@ -14,13 +14,14 @@ feature rows and weights into one ``(batch, 2 * state_dim)`` array,
 each row the state's network input followed by the next state's, and
 hands the two halves to the network as views, inside a
 :class:`ReplayBatch`: the same float64 values in the same layout as
-storing the feature vectors themselves.
+storing the feature vectors themselves. The training log is one
+``(episodes, 3)`` array, a row per episode, that
+:func:`write_training_log` writes as ``rl_training_log.csv``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +33,9 @@ from ..floatcsv import write_float_csv
 from .env import EnvState, FeatureTable, env_reset, env_step, state_features
 from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
 from .params import Hyperparams
+
+# columns of the training log that train returns
+LOG_COLUMNS = ("cum_reward", "mean_loss", "epsilon")
 
 
 class ReplayBatch(NamedTuple):
@@ -122,18 +126,13 @@ def epsilon_greedy(qvals: np.ndarray, eps: float, rng: np.random.Generator) -> i
     return int(qvals.argmax())
 
 
-@dataclass(frozen=True)
-class EpisodeStats:
-    episode: int
-    cum_reward: float
-    mean_loss: float
-    epsilon: float
-
-
 def train(
     returns_train: ReturnTable, hp: Hyperparams, trading_days: int
-) -> tuple[QNetwork, list[EpisodeStats]]:
-    """Run the replay-trained DQN loop over the training returns.
+) -> tuple[QNetwork, np.ndarray]:
+    """Run the replay-trained DQN loop; return the network and the training log.
+
+    The log is an ``(episodes, 3)`` array: row ``e`` holds episode
+    ``e``'s cumulative reward, mean loss and epsilon (:data:`LOG_COLUMNS`).
 
     Rewards are annualized by ``trading_days``, the run config's value.
 
@@ -151,7 +150,7 @@ def train(
     net = qnet_init(returns_train.n_assets, hp, rng)
     buffer = ReplayBuffer(hp.replay_capacity, table)
     eps = hp.eps_start
-    log: list[EpisodeStats] = []
+    log = np.empty((hp.episodes, len(LOG_COLUMNS)))
     global_step = 0
 
     # A diverging network overflows before its loss turns non-finite;
@@ -177,7 +176,7 @@ def train(
                 state = next_state
                 global_step += 1
             mean_loss = float(np.mean(losses)) if losses else 0.0
-            log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
+            log[episode] = cum_reward, mean_loss, eps
             eps = max(hp.eps_min, eps * hp.eps_decay)
 
     # qnet_train_step checks the loss before its update, so only this
@@ -212,8 +211,7 @@ def evaluate(
     return weights
 
 
-def write_training_log(log: list[EpisodeStats], path: str | Path) -> None:
-    """CSV log: ``episode,cum_reward,mean_loss,epsilon``."""
-    header = ["episode", "cum_reward", "mean_loss", "epsilon"]
-    columns = [np.array([getattr(row, name) for row in log], dtype=float) for name in header[1:]]
-    write_float_csv(path, header, columns, labels=[str(row.episode) for row in log])
+def write_training_log(log: np.ndarray, path: str | Path) -> None:
+    """CSV log: ``episode,cum_reward,mean_loss,epsilon``, the episode being the row index."""
+    labels = [str(episode) for episode in range(log.shape[0])]
+    write_float_csv(path, ["episode", *LOG_COLUMNS], [log], labels=labels)

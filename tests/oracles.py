@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from portlab.rl.agent import EpisodeStats
 from portlab.rl.network import QNetwork, _backprop, _layer_views
 
 
@@ -34,8 +33,9 @@ class SingularMatrixError(Exception):
 class MinVariancePortfolio:
     """Closed-form minimum-variance solution (sum-to-one constraint only).
 
-    Unlike :class:`portlab.mvp.Portfolio` this may carry negative weights;
-    ``long_only`` flags whether it happens to satisfy the long-only constraint.
+    Unlike the long-only weight rows of :mod:`portlab.mvp` this may carry
+    negative weights; ``long_only`` flags whether it happens to satisfy the
+    long-only constraint.
     """
 
     tickers: tuple[str, ...]
@@ -184,12 +184,12 @@ def tabular_q_check(
     return float(np.max(np.abs(q - q_star)))
 
 
-def read_training_log(path: str | Path) -> list[EpisodeStats]:
+def read_training_log(path: str | Path) -> np.ndarray:
+    """The ``(episodes, 3)`` log array; each line's episode must be its row index."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        return [
-            EpisodeStats(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in reader
-            if r
-        ]
+        rows = [r for r in reader if r]
+    if [int(r[0]) for r in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: episodes are not numbered 0, 1, ...")
+    return np.array([[float(c) for c in r[1:]] for r in rows]).reshape(len(rows), 3)

@@ -244,12 +244,12 @@ class TestSharpe:
 class TestCumulativeReturns:
     def test_constant_returns_compound(self):
         rets = make_returns(np.full((3, 2), 0.01))
-        curve = _curve(rets, equal_weight(rets.tickers).weights)
+        curve = _curve(rets, equal_weight(rets.n_assets))
         assert curve[-1] == pytest.approx(0.030301, abs=1e-12)
 
     def test_zero_returns_flat(self):
         rets = make_returns(np.zeros((4, 2)))
-        assert np.all(_curve(rets, equal_weight(rets.tickers).weights) == 0.0)
+        assert np.all(_curve(rets, equal_weight(rets.n_assets)) == 0.0)
 
     def test_single_asset_passthrough(self, rng):
         values = rng.normal(0.001, 0.01, size=(10, 3))
@@ -261,7 +261,7 @@ class TestCumulativeReturns:
     def test_equal_weights_match_row_mean_compounding(self, rng):
         values = rng.normal(0.0, 0.02, size=(15, 5))
         rets = make_returns(values)
-        curve = _curve(rets, equal_weight(rets.tickers).weights)
+        curve = _curve(rets, equal_weight(rets.n_assets))
         expect = np.cumprod(1 + values.mean(axis=1)) - 1
         assert np.max(np.abs(curve - expect)) < 1e-12
 

@@ -112,6 +112,6 @@ def test_schedule_rejects_rows_off_the_simplex(row):
 def test_overflowing_risk_raises_non_finite_error():
     # every daily return and the curve are finite, but squared deviations overflow
     returns = make_returns([[1e200], [-1.0], [1e200]])
-    weights = equal_weight(returns.tickers).weights
+    weights = equal_weight(returns.n_assets)
     with pytest.raises(NonFiniteError, match="annual return or risk of MVP"):
         run_backtest(weights, returns, 0.01, 252, method="MVP", phase="test", dataset="d")

@@ -5,7 +5,8 @@ value, an allocation too large for the address space, a file that is
 not UTF-8, an empty or repeated ticker name, an empty output directory,
 prices whose returns or statistics overflow) gives exit 1 and one
 ``error:`` line; ``import portlab.cli`` and ``compare`` load no numpy,
-and ``mvp`` and ``hrp`` load no module of the agent; a full
+``mvp`` and ``hrp`` load no module of the agent, and ``hrp`` loads
+neither ``portlab.mvp`` nor ``portlab.floatcsv``; a full
 pipeline run writes the same bytes every time; the configured ``trading_days`` reaches the
 agent's reward; the bundled fixture regenerates byte for byte.
 """
@@ -141,8 +142,8 @@ def _edit_report(**fields):
             _edit_report(curve=[["2019-01-01", math.inf], ["2019-01-02", 0.0]]),
             "curve values must be finite",
         ),
-        # json.loads reads an integer of any size; float() of this one overflows
-        (_edit_report(risk=10**400), "int too large to convert to float"),
+        # json.loads reads an integer of any size; this one is beyond the float range
+        (_edit_report(risk=10**400), "annual_risk must be a finite number"),
         (
             _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", 10**400]]),
             "curve values must be finite",
@@ -152,6 +153,14 @@ def _edit_report(**fields):
             _edit_report(curve=[["2019-01-01", 0.0], ["2019-01-02", "0.5"]]),
             "curve values must be finite",
         ),
+        # nor is a string or a bool a scalar: each report below is consistent
+        # once read through float()
+        (_edit_report(risk="0.2"), "annual_risk must be a finite number"),
+        (
+            _edit_report(annual_return="0.11", risk="0.2", sharpe="0.5"),
+            "annual_return must be a finite number",
+        ),
+        (_edit_report(risk=True, sharpe=0.1), "annual_risk must be a finite number"),
     ],
     ids=[
         "truncated",
@@ -165,6 +174,9 @@ def _edit_report(**fields):
         "huge-integer-risk",
         "huge-integer-curve-cell",
         "numeric-string-curve-cell",
+        "numeric-string-risk",
+        "numeric-string-scalars",
+        "bool-risk",
     ],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
@@ -286,6 +298,9 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         # 1.42 PiB of replay slots: above the 128 TiB user address space of
         # x86-64 and arm64 Linux, so the allocation fails without touching memory
         ("rl-train", "rl.replay_capacity = 100000000000000\n", None, "Unable to allocate"),
+        # a 92.4 PiB frontier cloud, likewise; it is allocated before the
+        # sampler spawns a child seed for each of its 10**12 chunks
+        ("mvp", "mc_samples = 1000000000000000\n", None, "Unable to allocate"),
     ],
     ids=[
         "negative-seed",
@@ -296,6 +311,7 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         "inf-learning-rate",
         "batch-above-capacity",
         "oversized-replay-capacity",
+        "oversized-mc-samples",
     ],
 )
 def test_bad_config_value_gives_one_line_error(
@@ -415,6 +431,8 @@ def test_mvp_and_hrp_load_no_module_of_the_agent(tmp_path, fixture_csv):
         assert "numpy" in modules
         # the config parses the rl.* keys into portlab.rl.params.Hyperparams
         assert _under("portlab.rl", modules) == ["portlab.rl", "portlab.rl.params"]
+    # hrp needs neither the frontier sampler nor the CSV writer
+    assert not {"portlab.mvp", "portlab.floatcsv"} & set(steps["hrp"][1])
 
 
 def test_rl_train_refuses_to_save_a_model_that_overflowed(tmp_path, capsys):
@@ -450,7 +468,7 @@ def test_rl_train_reward_is_annualized_by_the_configured_trading_days(tmp_path, 
     assert models[365] != models[252]
     # episode 0 explores with eps_start = 1.0, so both runs take the same
     # actions and each reward scales by sqrt(T): T / sqrt(T)
-    ratio = logs[365][0].cum_reward / logs[252][0].cum_reward
+    ratio = logs[365][0, 0] / logs[252][0, 0]  # episode 0's cumulative reward
     assert ratio == pytest.approx(math.sqrt(365 / 252), rel=1e-12, abs=0)
 
 

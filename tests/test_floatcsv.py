@@ -18,7 +18,7 @@ import pytest
 
 from portlab import floatcsv, mvp
 from portlab.analytics import checked_covariance
-from portlab.rl.agent import EpisodeStats, write_training_log
+from portlab.rl.agent import write_training_log
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams
 from portlab.synthetic import weekday_dates
@@ -27,26 +27,22 @@ from portlab.synthetic import weekday_dates
 AWKWARD = [1e-05, 1e16, 0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, 1.0, 123456789.125]
 
 
-def reference_frontier_csv(cloud: mvp.FrontierCloud, path) -> None:
-    n = cloud.weights.shape[1]
+def reference_frontier_csv(cloud: np.ndarray, path) -> None:
+    n = cloud.shape[1] - 3
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)])
-        for i in range(cloud.volatilities.shape[0]):
-            writer.writerow([repr(float(v)) for v in _row_cells(cloud, i)])
+        for row in cloud:
+            writer.writerow([repr(float(v)) for v in row])
 
 
-def reference_frontier_rows(cloud: mvp.FrontierCloud, rows, path) -> None:
-    n = cloud.weights.shape[1]
+def reference_frontier_rows(cloud: np.ndarray, rows, path) -> None:
+    n = cloud.shape[1] - 3
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n)]
     lines = [",".join(header)]
     for i in rows:
-        lines.append(",".join(repr(float(v)) for v in _row_cells(cloud, i)))
+        lines.append(",".join(repr(float(v)) for v in cloud[i]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _row_cells(cloud: mvp.FrontierCloud, i: int) -> list:
-    return [cloud.volatilities[i], cloud.returns[i], cloud.sharpes[i], *cloud.weights[i]]
 
 
 def reference_schedule_csv(dates, weights, tickers, path) -> None:
@@ -56,14 +52,13 @@ def reference_schedule_csv(dates, weights, tickers, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def reference_training_log(log, path) -> None:
+def reference_training_log(rows, path) -> None:
+    """``rows`` of ``(episode, cum_reward, mean_loss, epsilon)``, one per episode."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["episode", "cum_reward", "mean_loss", "epsilon"])
-        for row in log:
-            writer.writerow(
-                [row.episode, repr(row.cum_reward), repr(row.mean_loss), repr(row.epsilon)]
-            )
+        for episode, cum_reward, mean_loss, epsilon in rows:
+            writer.writerow([episode, repr(cum_reward), repr(mean_loss), repr(epsilon)])
 
 
 def reference_qnetwork(net, path) -> None:
@@ -71,7 +66,7 @@ def reference_qnetwork(net, path) -> None:
     path.write_text("\n".join([header, *map(repr, net.params.tolist())]) + "\n", encoding="utf-8")
 
 
-def awkward_cloud() -> mvp.FrontierCloud:
+def awkward_cloud() -> np.ndarray:
     """Rows on the simplex whose cells hit exponent-form and inexact reprs."""
     weights = np.array(
         [
@@ -83,10 +78,10 @@ def awkward_cloud() -> mvp.FrontierCloud:
     )
     vols = np.array([1e-05, 0.1 + 0.2, 1e16, 0.25])
     rets = np.array([1e16, -0.0, 0.1 + 0.2, 5e-324])
-    return mvp.FrontierCloud(vols, rets, (rets - 0.01) / vols, weights, risk_free=0.01)
+    return np.column_stack([vols, rets, (rets - 0.01) / vols, weights])
 
 
-def seeded_cloud(count: int = 2500) -> mvp.FrontierCloud:
+def seeded_cloud(count: int = 2500) -> np.ndarray:
     rng = np.random.default_rng(5)
     data = rng.normal(0, 0.01, size=(120, 6))
     sigma = np.cov(data, rowvar=False, ddof=1)
@@ -105,7 +100,7 @@ def test_frontier_csv_matches_reference(tmp_path, make):
 @pytest.mark.parametrize("make", [seeded_cloud, awkward_cloud], ids=["seeded", "awkward"])
 def test_frontier_curve_matches_reference(tmp_path, make):
     cloud = make()
-    count = cloud.volatilities.shape[0]
+    count = cloud.shape[0]
     selections = [
         np.append(mvp.efficient_frontier(cloud, bins=20), 0),
         np.arange(count)[::-1],  # the seeded cloud's rows span several blocks
@@ -161,11 +156,13 @@ def test_training_log_matches_reference(tmp_path, n_episodes):
     rng = np.random.default_rng(n_episodes)
     rewards = rng.normal(0, 50, n_episodes).tolist()
     losses = rng.uniform(0, 60, n_episodes).tolist()
-    log = [EpisodeStats(i, rewards[i], losses[i], 0.95**i) for i in range(n_episodes)]
-    if log:
-        log[0] = EpisodeStats(0, AWKWARD[0], AWKWARD[1], AWKWARD[3])
+    rows = [(i, rewards[i], losses[i], 0.95**i) for i in range(n_episodes)]
+    if rows:
+        rows[0] = (0, AWKWARD[0], AWKWARD[1], AWKWARD[3])
+    # the (episodes, 3) array that rl.agent.train returns, the episode its row index
+    log = np.array([row[1:] for row in rows]).reshape(n_episodes, 3)
     write_training_log(log, tmp_path / "new.csv")
-    reference_training_log(log, tmp_path / "ref.csv")
+    reference_training_log(rows, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

@@ -298,19 +298,19 @@ class TestClusterVariance:
 
 class TestRecursiveBisection:
     def _bisect(self, values, order):
-        return hrp.recursive_bisection(checked_covariance(values), order, tickers(len(values)))
+        return hrp.recursive_bisection(checked_covariance(values), order)
 
     def test_two_assets(self):
-        port = self._bisect(np.diag([1.0, 2.0]), [0, 1])
-        assert port.weights == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        w = self._bisect(np.diag([1.0, 2.0]), [0, 1])
+        assert w == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
 
     def test_isotropic_equal_weights(self):
-        port = self._bisect(0.5 * np.eye(4), [0, 1, 2, 3])
-        assert port.weights == pytest.approx([0.25] * 4, abs=1e-12)
+        w = self._bisect(0.5 * np.eye(4), [0, 1, 2, 3])
+        assert w == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_hand_traced_four_assets(self):
-        port = self._bisect(np.diag([1.0, 1.0, 2.0, 2.0]), [0, 1, 2, 3])
-        assert port.weights == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6], abs=1e-12)
+        w = self._bisect(np.diag([1.0, 1.0, 2.0, 2.0]), [0, 1, 2, 3])
+        assert w == pytest.approx([1 / 3, 1 / 3, 1 / 6, 1 / 6], abs=1e-12)
 
     @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
     def test_rejects_an_order_that_is_no_permutation_of_the_assets(self, order):
@@ -324,34 +324,34 @@ class TestRecursiveBisection:
         n = int(rng.integers(2, 9))
         variances = rng.uniform(0.2, 5.0, size=n)
         order = rng.permutation(n).tolist()
-        port = self._bisect(np.diag(variances), order)
+        w = self._bisect(np.diag(variances), order)
         ivp = (1 / variances) / (1 / variances).sum()
-        assert np.max(np.abs(port.weights - ivp)) < 1e-9
+        assert np.max(np.abs(w - ivp)) < 1e-9
 
 
 class TestHrpWeights:
     def test_two_assets_exact_inverse_variance(self, rng):
         values = rng.normal(0, 0.01, size=(60, 2)) * np.array([1.0, 2.5])
         rets = make_returns(values)
-        port = hrp.hrp_weights(rets)[1]
+        w = hrp.hrp_weights(rets)[1]
         var = np.var(values, axis=0, ddof=1)
         ivp = (1 / var) / (1 / var).sum()
-        assert port.weights == pytest.approx(ivp, abs=1e-12)
+        assert w == pytest.approx(ivp, abs=1e-12)
 
     def test_iid_near_equal_weights(self):
         rng = np.random.default_rng(31)
         rets = make_returns(rng.normal(0.0, 0.01, size=(2000, 5)))
-        port = hrp.hrp_weights(rets)[1]
-        assert np.max(np.abs(port.weights - 0.2)) < 0.05
+        w = hrp.hrp_weights(rets)[1]
+        assert np.max(np.abs(w - 0.2)) < 0.05
 
     def test_independent_assets_near_ivp(self):
         rng = np.random.default_rng(55)
         scales = np.array([0.5, 0.8, 1.0, 1.3, 1.7, 2.2])
         values = rng.normal(0.0, 0.01, size=(3000, 6)) * scales
-        port = hrp.hrp_weights(make_returns(values))[1]
+        w = hrp.hrp_weights(make_returns(values))[1]
         var = np.var(values, axis=0, ddof=1)
         ivp = (1 / var) / (1 / var).sum()
-        assert np.max(np.abs(port.weights - ivp)) < 0.02
+        assert np.max(np.abs(w - ivp)) < 0.02
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -359,9 +359,9 @@ class TestHrpWeights:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 11))
         t = int(rng.integers(20, 60))
-        port = hrp.hrp_weights(random_returns(rng, t, n))[1]
-        assert np.all(port.weights > 0)
-        assert abs(port.weights.sum() - 1.0) < 1e-9
+        w = hrp.hrp_weights(random_returns(rng, t, n))[1]
+        assert np.all(w > 0)
+        assert abs(w.sum() - 1.0) < 1e-9
 
     def test_label_equivariance_under_permutation(self):
         rng = np.random.default_rng(404)
@@ -369,12 +369,12 @@ class TestHrpWeights:
             n = int(rng.integers(3, 8))
             values = rng.normal(0, 0.01, size=(40, n)) * rng.uniform(0.5, 2.0, size=n)
             rets = make_returns(values)
-            base = dict(zip(rets.tickers, hrp.hrp_weights(rets)[1].weights))
+            base = dict(zip(rets.tickers, hrp.hrp_weights(rets)[1]))
             perm = rng.permutation(n)
             permuted = make_returns(
                 values[:, perm], tickers=tuple(rets.tickers[p] for p in perm)
             )
-            shuffled = dict(zip(permuted.tickers, hrp.hrp_weights(permuted)[1].weights))
+            shuffled = dict(zip(permuted.tickers, hrp.hrp_weights(permuted)[1]))
             assert max(abs(base[t] - shuffled[t]) for t in base) < 1e-9
 
     def test_quasi_diagonalization_concentrates_mass(self):

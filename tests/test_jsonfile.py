@@ -35,7 +35,7 @@ def test_bytes_match_reference(tmp_path):
 def test_report_bytes_match_reference(tmp_path):
     returns = random_returns(np.random.default_rng(3), 30, 3)
     report = backtest.run_backtest(
-        equal_weight(returns.tickers).weights,
+        equal_weight(returns.n_assets),
         returns,
         0.01,
         252,

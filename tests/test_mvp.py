@@ -8,7 +8,7 @@ from helpers import random_cov, read_frontier_csv
 from oracles import SingularMatrixError, closed_form_min_variance
 from portlab import mvp
 from portlab.analytics import checked_covariance
-from portlab.errors import NonFiniteError
+from portlab.errors import NonFiniteError, UndefinedSharpeError
 
 
 def synthetic_ten_asset_case():
@@ -20,7 +20,7 @@ def synthetic_ten_asset_case():
     return mu, sigma
 
 
-def sample_cloud(mu, sigma, count: int, risk_free: float, seed: int) -> mvp.FrontierCloud:
+def sample_cloud(mu, sigma, count: int, risk_free: float, seed: int) -> np.ndarray:
     """``mvp.sample_portfolios`` on a checked covariance array, annualized by 252 days."""
     return mvp.sample_portfolios(mu, checked_covariance(sigma), count, risk_free, seed, 252)
 
@@ -29,39 +29,38 @@ def annual_vol(weights: np.ndarray, sigma: np.ndarray, trading_days: int = 252) 
     return math.sqrt(max(float(weights @ sigma @ weights), 0.0) * trading_days)
 
 
-def hand_cloud(rows, risk_free: float) -> mvp.FrontierCloud:
+def vols(cloud: np.ndarray) -> np.ndarray:
+    return cloud[:, mvp.VOLATILITY]
+
+
+def weights(cloud: np.ndarray) -> np.ndarray:
+    return cloud[:, mvp.FIRST_WEIGHT :]
+
+
+def hand_cloud(rows, risk_free: float) -> np.ndarray:
     """Cloud from ``(volatility, return, weights)`` rows with consistent Sharpes."""
-    vols = np.array([r[0] for r in rows])
-    rets = np.array([r[1] for r in rows])
-    weights = np.array([r[2] for r in rows], dtype=float)
-    sharpes = (rets - risk_free) / vols
-    return mvp.FrontierCloud(vols, rets, sharpes, weights, risk_free=risk_free)
+    return np.array([[vol, ret, (ret - risk_free) / vol, *w] for vol, ret, w in rows])
 
 
-def row_tuple(cloud: mvp.FrontierCloud, i: int) -> tuple:
-    return (
-        float(cloud.volatilities[i]),
-        float(cloud.returns[i]),
-        float(cloud.sharpes[i]),
-        cloud.weights[i].tolist(),
-    )
+def row_tuple(cloud: np.ndarray, i: int) -> tuple:
+    return (*cloud[i, : mvp.FIRST_WEIGHT].tolist(), cloud[i, mvp.FIRST_WEIGHT :].tolist())
 
 
 class TestEqualWeight:
     def test_ten_assets(self):
-        port = mvp.equal_weight(tuple("ABCDEFGHIJ"))
-        assert port.tickers == tuple("ABCDEFGHIJ")
-        assert np.all(port.weights == 0.1)
+        w = mvp.equal_weight(10)
+        assert w.shape == (10,)
+        assert np.all(w == 0.1)
 
     def test_single_asset(self):
-        assert mvp.equal_weight(("A",)).weights.tolist() == [1.0]
+        assert mvp.equal_weight(1).tolist() == [1.0]
 
     def test_four_assets(self):
-        assert np.all(mvp.equal_weight(("A", "B", "C", "D")).weights == 0.25)
+        assert np.all(mvp.equal_weight(4) == 0.25)
 
     def test_zero_assets_rejected(self):
         with pytest.raises(ValueError):
-            mvp.equal_weight(())
+            mvp.equal_weight(0)
 
 
 class TestSamplePortfolios:
@@ -69,29 +68,28 @@ class TestSamplePortfolios:
         mu, sigma = synthetic_ten_asset_case()
         a = sample_cloud(mu, sigma, 500, 0.01, seed=3)
         b = sample_cloud(mu, sigma, 500, 0.01, seed=3)
-        assert a.volatilities.shape[0] == a.weights.shape[0] == 500
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.volatilities, b.volatilities)
+        assert a.shape == (500, 3 + 10)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         mu, sigma = synthetic_ten_asset_case()
         a = sample_cloud(mu, sigma, 100, 0.01, seed=3)
         b = sample_cloud(mu, sigma, 100, 0.01, seed=4)
-        assert not np.array_equal(a.volatilities, b.volatilities)
+        assert not np.array_equal(vols(a), vols(b))
 
     def test_prefix_stability_across_counts(self):
         # chunked sampling: a shorter cloud is a prefix of a longer one
         mu, sigma = synthetic_ten_asset_case()
         small = sample_cloud(mu, sigma, 700, 0.01, seed=9)
         large = sample_cloud(mu, sigma, 1500, 0.01, seed=9)
-        assert np.array_equal(small.volatilities, large.volatilities[:700])
+        assert np.array_equal(small, large[:700])
 
     def test_single_asset_degenerate(self):
         cloud = sample_cloud(
             np.array([0.1]), np.array([[1e-4]]), 50, 0.01, seed=1
         )
-        assert np.all(cloud.weights == 1.0)
-        assert np.unique(cloud.volatilities).size == 1
+        assert np.all(weights(cloud) == 1.0)
+        assert np.unique(vols(cloud)).size == 1
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -101,8 +99,8 @@ class TestSamplePortfolios:
         sigma = random_cov(rng, n)
         mu = rng.uniform(0.0, 0.3, size=n)
         cloud = sample_cloud(mu, sigma, 64, 0.01, seed=seed)
-        assert np.all(cloud.weights >= 0)
-        assert np.max(np.abs(cloud.weights.sum(axis=1) - 1.0)) < 1e-9
+        assert np.all(weights(cloud) >= 0)
+        assert np.max(np.abs(weights(cloud).sum(axis=1) - 1.0)) < 1e-9
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -112,8 +110,8 @@ class TestSamplePortfolios:
         n = int(rng.integers(2, 11))
         sigma = random_cov(rng, n)
         cloud = sample_cloud(rng.uniform(0.0, 0.3, size=n), sigma, 64, 0.01, seed=seed)
-        for weights, vol in zip(cloud.weights, cloud.volatilities):
-            assert vol == pytest.approx(annual_vol(weights, sigma), rel=1e-12, abs=0)
+        for w, vol in zip(weights(cloud), vols(cloud)):
+            assert vol == pytest.approx(annual_vol(w, sigma), rel=1e-12, abs=0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -131,87 +129,34 @@ class TestSamplePortfolios:
 
 
 class TestFrontierCloudInvariants:
-    def test_arrays_are_read_only_copies(self):
-        # a list, another dtype and a view of a writable array are copied,
-        # so writing to what the caller holds leaves the cloud unchanged
-        table = np.array([[0.5, 0.5, 0.1]])
-        for weights in ([[0.5, 0.5]], np.array([[0.5, 0.5]], dtype=np.float32), table[:, :2]):
-            cloud = mvp.FrontierCloud(
-                np.array([0.1]), np.array([0.2]), np.array([1.9]), weights, risk_free=0.01
-            )
-            weights[0][0] = 7.0
-            assert cloud.weights.tolist() == [[0.5, 0.5]]
-            assert cloud.weights.dtype == np.float64
-            for values in (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights):
-                assert not values.flags.writeable
+    """What :func:`mvp.sample_portfolios` guarantees of the cloud array it returns."""
 
-    def test_sampled_arrays_are_held_not_copied(self, monkeypatch):
-        made = []
-        cloud_type = mvp.FrontierCloud
-
-        def capture(*args, **kwargs):
-            made.append(args[:4])
-            return cloud_type(*args, **kwargs)
-
-        monkeypatch.setattr(mvp, "FrontierCloud", capture)
+    def test_sampled_cloud_is_one_read_only_array(self):
+        # the array the sampler fills is the one it returns: no second copy
         mu, sigma = synthetic_ten_asset_case()
         cloud = sample_cloud(mu, sigma, 2500, 0.01, seed=3)
-        held = (cloud.volatilities, cloud.returns, cloud.sharpes, cloud.weights)
-        for values, given_values in zip(held, made[0]):
-            assert values is given_values
-            assert not values.flags.writeable
-
-    def test_off_simplex_row_rejected(self):
-        with pytest.raises(ValueError, match="simplex"):
-            hand_cloud([(0.1, 0.2, [0.5, 0.5]), (0.1, 0.2, [0.5, 0.6])], risk_free=0.01)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="simplex"):
-            hand_cloud([(0.1, 0.2, [1.5, -0.5])], risk_free=0.01)
-
-    def test_nan_weight_rejected(self):
-        with pytest.raises(ValueError, match="simplex"):
-            hand_cloud([(0.1, 0.2, [np.nan, 1.0])], risk_free=0.01)
+        assert type(cloud) is np.ndarray and cloud.dtype == np.float64
+        assert cloud.flags.owndata
+        assert not cloud.flags.writeable
 
     def test_nan_sharpe_rejected(self):
-        with pytest.raises(ValueError, match="Sharpe"):
-            mvp.FrontierCloud(
-                np.array([0.1, 0.2]),
-                np.array([0.2, 0.3]),
-                np.array([1.9, np.nan]),
-                np.array([[1.0, 0.0], [0.0, 1.0]]),
-                risk_free=0.01,
-            )
+        with pytest.raises(NonFiniteError, match="Sharpe ratio"):
+            sample_cloud(np.array([0.1, np.nan]), np.eye(2) * 1e-4, 10, 0.01, seed=1)
 
     def test_nan_risk_free_rejected(self):
-        with pytest.raises(ValueError, match="Sharpe"):
-            hand_cloud([(0.1, 0.2, [1.0])], risk_free=np.nan)
+        with pytest.raises(NonFiniteError, match="risk_free nan"):
+            sample_cloud(np.array([0.1]), np.array([[1e-4]]), 10, np.nan, seed=1)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vol", [0.0, -0.1, np.nan])
     def test_non_positive_volatility_rejected(self, vol):
-        with pytest.raises(ValueError, match="volatilities"):
-            mvp.FrontierCloud(
-                np.array([vol]), np.array([0.2]), np.array([1.0]), np.array([[1.0]]),
-                risk_free=0.01,
-            )
+        # a zero, negative (floored at zero) or NaN daily variance: no Sharpe ratio
+        with pytest.raises(UndefinedSharpeError, match="zero or undefined volatility"):
+            mvp.sample_portfolios(np.array([0.1]), np.array([[vol]]), 10, 0.01, 1, 252)
 
     def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            mvp.FrontierCloud(
-                np.array([0.1, 0.2]), np.array([0.2]), np.array([1.9]), np.array([[1.0]]),
-                risk_free=0.01,
-            )
-        with pytest.raises(ValueError):
-            mvp.FrontierCloud(
-                np.array([0.1]), np.array([0.2]), np.array([1.9]), np.array([1.0]),
-                risk_free=0.01,
-            )
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(ValueError):
-            mvp.FrontierCloud(
-                np.empty(0), np.empty(0), np.empty(0), np.empty((0, 2)), risk_free=0.01
-            )
+        with pytest.raises(ValueError, match="dimensions do not match"):
+            sample_cloud(np.array([0.1, 0.2]), np.array([[1e-4]]), 10, 0.01, seed=1)
 
 
 class TestMinRiskAndMaxSharpe:
@@ -240,13 +185,13 @@ class TestMinRiskAndMaxSharpe:
             np.array([0.1, 0.1]), sigma, 10_000, 0.01, seed=11
         )
         best = mvp.min_risk_row(cloud)
-        assert cloud.weights[best] == pytest.approx([0.5, 0.5], abs=0.05)
+        assert weights(cloud)[best] == pytest.approx([0.5, 0.5], abs=0.05)
 
     def test_argmax_contract(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = sample_cloud(mu, sigma, 2000, 0.01, seed=5)
         best = mvp.max_sharpe_row(cloud)
-        assert cloud.sharpes[best] >= cloud.sharpes.max()
+        assert cloud[best, mvp.SHARPE] >= cloud[:, mvp.SHARPE].max()
 
     def test_sharpe_invariant_as_stored(self):
         mu, sigma = synthetic_ten_asset_case()
@@ -260,17 +205,17 @@ class TestMinRiskAndMaxSharpe:
         assert oracle.long_only
         vol_star = annual_vol(oracle.weights, sigma)
         cloud = sample_cloud(mu, sigma, 10_000, 0.01, seed=7)
-        vol_mc = cloud.volatilities[mvp.min_risk_row(cloud)]
+        vol_mc = vols(cloud)[mvp.min_risk_row(cloud)]
         assert vol_mc >= vol_star
         assert (vol_mc - vol_star) / vol_star < 0.05
 
     def test_min_vol_monotone_in_sample_count(self):
         mu, sigma = synthetic_ten_asset_case()
-        vols = []
+        lows = []
         for count in (500, 1500, 4000):
             cloud = sample_cloud(mu, sigma, count, 0.01, seed=13)
-            vols.append(cloud.volatilities[mvp.min_risk_row(cloud)])
-        assert vols[0] >= vols[1] >= vols[2]
+            lows.append(vols(cloud)[mvp.min_risk_row(cloud)])
+        assert lows[0] >= lows[1] >= lows[2]
 
 
 class TestEfficientFrontier:
@@ -284,35 +229,25 @@ class TestEfficientFrontier:
         cloud = sample_cloud(mu, sigma, 1000, 0.01, seed=2)
         frontier = mvp.efficient_frontier(cloud, bins=1)
         assert len(frontier) == 1
-        assert cloud.returns[frontier[0]] == cloud.returns.max()
+        assert cloud[frontier[0], mvp.RETURN] == cloud[:, mvp.RETURN].max()
 
     def test_points_dominate_their_bins(self):
         mu, sigma = synthetic_ten_asset_case()
         cloud = sample_cloud(mu, sigma, 1000, 0.01, seed=2)
-        vols = cloud.volatilities
-        rets = cloud.returns
-        vmin, vmax = vols.min(), vols.max()
+        vol = vols(cloud)
+        rets = cloud[:, mvp.RETURN]
+        vmin, vmax = vol.min(), vol.max()
         # at 10**12 nearly every point has a bin of its own, and the
         # selection must not visit the empty ones
         for bins in (20, 10**12):
             frontier = mvp.efficient_frontier(cloud, bins=bins)
             # the first maximum-return point of each occupied bin
             best: dict[int, int] = {}
-            for i in range(len(vols)):
-                b = min(int((vols[i] - vmin) / (vmax - vmin) * bins), bins - 1)
+            for i in range(len(vol)):
+                b = min(int((vol[i] - vmin) / (vmax - vmin) * bins), bins - 1)
                 if b not in best or rets[i] > rets[best[b]]:
                     best[b] = i
-            assert frontier.tolist() == sorted(best.values(), key=lambda i: (vols[i], i))
-
-
-class TestPortfolioInvariants:
-    def test_off_simplex_rejected(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            mvp.Portfolio(("A", "B"), np.array([0.5, 0.6]))
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            mvp.Portfolio(("A", "B"), np.array([np.nan, 1.0]))
+            assert frontier.tolist() == sorted(best.values(), key=lambda i: (vol[i], i))
 
 
 class TestClosedFormMinVariance:
@@ -387,5 +322,4 @@ class TestFrontierCsv:
         mvp.write_frontier_csv(cloud, path)
         data = read_frontier_csv(path)
         assert data.shape == (250, 3 + 10)
-        assert np.array_equal(data[:, 0], cloud.volatilities)
-        assert np.array_equal(data[:, 3:], cloud.weights)
+        assert np.array_equal(data, cloud)

@@ -22,7 +22,7 @@ from helpers import random_returns
 from oracles import loss_and_grads, td_target
 from portlab.analytics import ReturnTable, annualize, correlation_values, on_simplex
 from portlab.errors import DivergenceError, InsufficientDataError, NonFiniteError
-from portlab.rl.agent import EpisodeStats, ReplayBuffer, epsilon_greedy, evaluate, train
+from portlab.rl.agent import ReplayBuffer, epsilon_greedy, evaluate, train
 from portlab.rl.env import (
     VOL_FLOOR,
     EnvState,
@@ -115,7 +115,7 @@ def _reference_train(returns, hp: Hyperparams, trading_days: int):
                 losses.append(loss)
             features = next_features
         mean_loss = float(np.mean(losses)) if losses else 0.0
-        log.append(EpisodeStats(episode, cum_reward, mean_loss, eps))
+        log.append([cum_reward, mean_loss, eps])
         eps = max(hp.eps_min, eps * hp.eps_decay)
     return net, log
 
@@ -149,7 +149,8 @@ def test_train_matches_reference_loop_bit_for_bit(capacity, trading_days):
     net, log = train(returns, hp, trading_days)
     ref_net, ref_log = _reference_train(returns, hp, trading_days)
 
-    assert log == ref_log
+    assert log.shape == (hp.episodes, 3)
+    assert log.tolist() == ref_log
     for got, want in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
         assert np.array_equal(got, want)
 
