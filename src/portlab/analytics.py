@@ -11,6 +11,10 @@ Conventions, fixed once so golden values stay stable:
 * a weight vector is on the unit simplex when every weight is >= 0 and it
   sums to 1 within ``SIMPLEX_TOL``, a NaN failing both;
   :func:`on_simplex` is the one check, applied row by row;
+* :func:`covariance_values` is the one covariance, used by MVP, HRP and
+  the agent's features alike: the steps ``np.cov`` runs, with its bits,
+  over one ``(T, N)`` table or a ``(K, T, N)`` stack of rolling windows,
+  so K windows cost one call instead of K;
 * correlation entries involving a (near-)constant column are 0, never NaN,
   with variances floored at ``VARIANCE_FLOOR`` wherever they divide;
 * statistics are plain arrays (the ``(n, n)`` covariance and correlation,
@@ -100,21 +104,33 @@ def annual_mean(returns: ReturnTable, trading_days: int) -> np.ndarray:
 
 
 def covariance_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Sample covariance (divisor T-1) of the columns of a T x N array.
+    """Sample covariance (divisor T-1) of the columns of a T x N array, or of each of K.
+
+    ``values`` is one ``(T, N)`` table or a ``(K, T, N)`` stack of them
+    (the agent's rolling windows); the result is ``(N, N)`` or
+    ``(K, N, N)``. This is the one covariance in the package: the steps
+    ``np.cov`` runs (copy, column means, centre, ``x.T @ x``, times
+    ``1/(T-1)``), called directly so that they apply to a whole stack and
+    give ``np.cov``'s bits for every table in it.
 
     Raises :class:`NonFiniteError` if an entry overflows float64, naming
-    the first column involved by its entry in ``names``.
+    the first column involved (in the first table of a stack that has one)
+    by its entry in ``names``.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] < 2:
+    x = np.array(values, dtype=float)
+    rows = x.shape[-2]
+    if rows < 2:
         raise InsufficientDataError("covariance needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+        mean = np.add.reduce(x, axis=-2) / rows
+        x -= mean[..., None, :]
+        cov = np.matmul(x.swapaxes(-1, -2), x)
+        cov *= 1 / (rows - 1)
     bad = ~np.isfinite(cov)
     if bad.any():
-        col = int(np.argwhere(bad)[0][0])
+        col = int(np.argwhere(bad)[0][-2])
         raise NonFiniteError(
-            f"sample covariance of {names[col]} over {values.shape[0]} rows overflows float64"
+            f"sample covariance of {names[col]} over {rows} rows overflows float64"
         )
     return cov
 
@@ -122,18 +138,19 @@ def covariance_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
 def correlation_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """Correlation of the columns, with zero-variance columns mapped to 0.
 
-    A finite covariance gives finite correlations, so the one finiteness
-    check is :func:`covariance_values`'s.
+    Takes a table or a stack of tables, as :func:`covariance_values`
+    does. A finite covariance gives finite correlations, so the one
+    finiteness check is :func:`covariance_values`'s.
     """
     cov = covariance_values(values, names)
-    var = np.diag(cov)
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
     degenerate = var <= VARIANCE_FLOOR
     std = np.sqrt(np.where(degenerate, 1.0, var))
-    corr = cov / np.outer(std, std)
-    corr[degenerate, :] = 0.0
-    corr[:, degenerate] = 0.0
+    corr = cov / (std[..., :, None] * std[..., None, :])
+    corr[degenerate[..., :, None] | degenerate[..., None, :]] = 0.0
     corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
+    diagonal = np.arange(corr.shape[-1])
+    corr[..., diagonal, diagonal] = 1.0
     return corr
 
 

@@ -2,7 +2,12 @@
 
 The file format is a plain CSV with header ``date,TICK1,TICK2,...``,
 ISO-8601 dates, decimal close prices, and empty fields for missing
-values. Anything non-numeric in a price cell is a hard parse error.
+values. Anything non-numeric in a price cell is a hard parse error;
+that includes what ``float`` would also read, such as ``1_000`` or
+non-ASCII digits. Rows are parsed in blocks of about ``_PARSE_CELLS``
+price cells: each block's cells become one float array, checked with
+array operations, and only a block that fails a check is walked row by
+row, to report its first bad cell with the row number.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -24,6 +30,9 @@ from .errors import (
     SplitError,
     UnfillableError,
 )
+
+# price cells parsed per block: one block's cells are held as strings at a time
+_PARSE_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -124,48 +133,102 @@ def load_prices(path: str | Path) -> PriceTable:
             seen.add(ticker)
 
         dates: list[date] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        blocks: list[np.ndarray] = []
+        lineno = 2
+        while block := list(islice(reader, max(1, _PARSE_CELLS // len(tickers)))):
+            last = dates[-1] if dates else None
+            parsed = _parse_block(block, len(tickers), last) or _parse_rows(
+                path, tickers, block, lineno, last
+            )
+            dates += parsed[0]
+            blocks.append(parsed[1])
+            lineno += len(block)
+
+    if len(dates) < 3:
+        raise SchemaError(f"{path}: need at least 3 data rows, got {len(dates)}")
+    return PriceTable(tuple(dates), tuple(tickers), np.concatenate(blocks))
+
+
+def _parse_block(
+    block: list[list[str]], n_assets: int, last: date | None
+) -> tuple[list[date], np.ndarray] | None:
+    """Dates and closes of a block of CSV rows, or None if a row must be looked at alone.
+
+    Each cell is stripped, an empty one standing for NaN, and the block's
+    cells are converted by one ``np.array(..., dtype=float)`` call, then
+    checked with array operations. ``float`` also takes ``_`` and
+    non-ASCII digits, so a block whose text holds either goes to
+    :func:`_parse_rows`, as does any other defect: there the first bad
+    cell gets its message and row number.
+    """
+    rows = [row for row in block if row]
+    if any(len(row) != n_assets + 1 for row in rows):
+        return None
+    try:
+        dates = [date.fromisoformat(row[0].strip()) for row in rows]
+        cells = [cell.strip() or "nan" for row in rows for cell in row[1:]]
+        text = "".join(cells)
+        if not text.isascii() or "_" in text:
+            return None
+        closes = np.array(cells, dtype=float).reshape(len(rows), n_assets)
+    except ValueError:
+        return None
+    in_order = dates if last is None else [last, *dates]
+    if any(b <= a for a, b in zip(in_order, in_order[1:])):
+        return None
+    missing = np.isnan(closes)
+    if not np.all(missing | ((closes > 0) & (closes < math.inf))):
+        return None
+    # a NaN must come from an empty cell, not from a "nan" in the file
+    if any(rows[r][c + 1].strip() for r, c in np.argwhere(missing).tolist()):
+        return None
+    return dates, closes
+
+
+def _parse_rows(
+    path: Path, tickers: list[str], block: list[list[str]], first: int, last: date | None
+) -> tuple[list[date], np.ndarray]:
+    """Parse a block row by row, numbering rows from ``first``; raise at the first bad cell."""
+    dates: list[date] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(block, start=first):
+        if not row:
+            continue
+        if len(row) != len(tickers) + 1:
+            raise PriceParseError(
+                f"{path}: row {lineno}: expected {len(tickers) + 1} cells, got {len(row)}"
+            )
+        try:
+            d = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise PriceParseError(f"{path}: row {lineno}: malformed date {row[0]!r}") from None
+        previous = dates[-1] if dates else last
+        if previous is not None and d <= previous:
+            raise DateOrderError(f"{path}: row {lineno}: date {d} not after {previous}")
+        cells: list[float] = []
+        for ticker, cell in zip(tickers, row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                cells.append(math.nan)
                 continue
-            if len(row) != len(tickers) + 1:
-                raise PriceParseError(
-                    f"{path}: row {lineno}: expected {len(tickers) + 1} cells, got {len(row)}"
-                )
             try:
-                d = date.fromisoformat(row[0].strip())
+                # float() also reads "1_000" and non-ASCII digits; a price may not
+                if not cell.isascii() or "_" in cell:
+                    raise ValueError(cell)
+                value = float(cell)
             except ValueError:
                 raise PriceParseError(
-                    f"{path}: row {lineno}: malformed date {row[0]!r}"
+                    f"{path}: row {lineno}: non-numeric price {cell!r} for {ticker}"
                 ) from None
-            if dates and d <= dates[-1]:
-                raise DateOrderError(
-                    f"{path}: row {lineno}: date {d} not after {dates[-1]}"
+            if not math.isfinite(value) or value <= 0:
+                raise PriceParseError(
+                    f"{path}: row {lineno}: price {cell!r} for {ticker} "
+                    "must be finite and > 0"
                 )
-            cells: list[float] = []
-            for ticker, cell in zip(tickers, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    cells.append(math.nan)
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise PriceParseError(
-                        f"{path}: row {lineno}: non-numeric price {cell!r} for {ticker}"
-                    ) from None
-                if not math.isfinite(value) or value <= 0:
-                    raise PriceParseError(
-                        f"{path}: row {lineno}: price {cell!r} for {ticker} "
-                        "must be finite and > 0"
-                    )
-                cells.append(value)
-            dates.append(d)
-            rows.append(cells)
-
-    if len(rows) < 3:
-        raise SchemaError(f"{path}: need at least 3 data rows, got {len(rows)}")
-    return PriceTable(tuple(dates), tuple(tickers), np.array(rows, dtype=float))
+            cells.append(value)
+        dates.append(d)
+        rows.append(cells)
+    return dates, np.array(rows, dtype=float).reshape(len(rows), len(tickers))
 
 
 def _utf8_lines(path: Path, fh: TextIO) -> Iterator[str]:

@@ -11,9 +11,12 @@ environment reads no config.
 
 A rollout visits ``t = window, window + rebalance_period, ...`` whatever
 actions it takes, so the correlation features depend only on ``t``. A
-:class:`FeatureTable` computes them once per return table, and a state
-holds only its weights and ``t``: :func:`state_features` reads the
-features at ``t`` from the table.
+:class:`FeatureTable` computes them once per return table: it takes every
+window as one strided view of the returns and passes them to
+``correlation_values`` as stacks, a block of windows per call, so a table
+costs a few calls instead of one per window. A state holds only its
+weights and ``t``: :func:`state_features` reads the features at ``t``
+from the table.
 
 Each check sits with the data it guards: a :class:`FeatureTable` checks
 the [-1, 1] range of all its rows once, when built; every
@@ -27,12 +30,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..analytics import ReturnTable, annualize, correlation_values, on_simplex
 from ..errors import InsufficientDataError, NonFiniteError
 from .params import Hyperparams
 
 VOL_FLOOR = 1e-8
+# floats per FeatureTable block: a block's copy of its windows and each of
+# its (B, N, N) temporaries stay under about 0.5 MB
+_BLOCK_CELLS = 1 << 16
 
 
 def num_actions(n_assets: int) -> int:
@@ -90,9 +97,14 @@ class FeatureTable:
 
     Row ``k`` holds the upper triangle (``k=1``, row-major) of the
     correlation matrix of ``returns.values[t - window : t]`` for
-    ``t = window + k * rebalance_period``, up to ``t <= n_rows``. All rows
-    are checked to lie in [-1, 1] once, when the table is built; a window
-    whose covariance overflows raises :class:`NonFiniteError` naming its dates.
+    ``t = window + k * rebalance_period``, up to ``t <= n_rows``. The
+    windows are one strided view of the returns, passed to
+    ``correlation_values`` as ``(B, window, N)`` stacks of up to
+    ``_BLOCK_CELLS // (N * (window + N))`` windows, so each call's
+    temporaries stay bounded whatever the table's length and asset count.
+    All rows are checked to lie in [-1, 1] once, when the table is built;
+    a window whose covariance overflows raises :class:`NonFiniteError`
+    naming its dates.
     """
 
     def __init__(self, returns: ReturnTable, hp: Hyperparams):
@@ -104,21 +116,37 @@ class FeatureTable:
         self.returns = returns
         self.window = hp.window
         self.period = hp.rebalance_period
-        iu = np.triu_indices(returns.n_assets, k=1)
-        rows = []
-        for t in range(hp.window, returns.n_rows + 1, hp.rebalance_period):
-            start = t - hp.window
+        n = returns.n_assets
+        # windows[k] = returns.values[k * period : k * period + window], no copy
+        windows = sliding_window_view(returns.values, hp.window, axis=0)
+        windows = windows[:: hp.rebalance_period].swapaxes(1, 2)
+        iu = np.triu_indices(n, k=1)
+        self.values = np.empty((windows.shape[0], iu[0].size))
+        block = max(1, _BLOCK_CELLS // (n * (hp.window + n)))
+        for first in range(0, windows.shape[0], block):
+            stack = windows[first : first + block]
             try:
-                corr = correlation_values(returns.values[start:t], returns.tickers)
-            except NonFiniteError as exc:
-                raise NonFiniteError(
-                    f"in the window {returns.dates[start]} to {returns.dates[t - 1]}: {exc}"
-                ) from None
-            rows.append(corr[iu])
-        self.values = np.stack(rows)
+                corr = correlation_values(stack, returns.tickers)
+            except NonFiniteError:
+                # name the block's first window that overflows on its own
+                for k in range(first, first + stack.shape[0]):
+                    self._check_window(windows[k], k)
+                raise
+            self.values[first : first + stack.shape[0]] = corr[:, iu[0], iu[1]]
         # written so that NaN fails
         if not (np.all(self.values >= -1.0) and np.all(self.values <= 1.0)):
             raise ValueError("correlation features must lie in [-1, 1]")
+
+    def _check_window(self, window: np.ndarray, k: int) -> None:
+        """Raise :class:`NonFiniteError` naming window ``k``'s dates if its covariance overflows."""
+        try:
+            correlation_values(window, self.returns.tickers)
+        except NonFiniteError as exc:
+            dates = self.returns.dates
+            start = k * self.period
+            raise NonFiniteError(
+                f"in the window {dates[start]} to {dates[start + self.window - 1]}: {exc}"
+            ) from None
 
     def row(self, t: int) -> int:
         """Row ``k`` of ``values``: the window ending just before time index ``t``."""

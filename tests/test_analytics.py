@@ -159,6 +159,73 @@ class TestCovarianceCorrelation:
         assert np.max(np.abs(cov_std - corr)) < 1e-10
 
 
+def _np_cov_correlation(window: np.ndarray) -> np.ndarray:
+    """The correlation as written on ``np.cov`` before the stacked routine replaced it."""
+    cov = np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+    var = np.diag(cov)
+    degenerate = var <= analytics.VARIANCE_FLOOR
+    std = np.sqrt(np.where(degenerate, 1.0, var))
+    corr = cov / np.outer(std, std)
+    corr[degenerate, :] = 0.0
+    corr[:, degenerate] = 0.0
+    corr = np.clip(corr, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@st.composite
+def _window_stacks(draw):
+    """Overlapping windows of one random table, some columns constant, as a strided view."""
+    n_assets = draw(st.integers(1, 12))
+    window = draw(st.integers(2, 40))
+    step = draw(st.integers(1, 7))
+    n_rows = window + step * draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, 1.0, size=(n_rows, n_assets)) * 10.0 ** rng.uniform(-4, 2, n_assets)
+    constant = draw(st.lists(st.integers(0, n_assets - 1), max_size=3))
+    values[:, constant] = 0.25
+    stack = np.lib.stride_tricks.sliding_window_view(values, window, axis=0)[::step]
+    return stack.swapaxes(1, 2)
+
+
+class TestStackedWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(_window_stacks())
+    def test_each_window_gets_the_bits_of_np_cov_and_of_its_own_call(self, stack):
+        names = [f"T{i}" for i in range(stack.shape[2])]
+        cov = analytics.covariance_values(stack, names)
+        corr = analytics.correlation_values(stack, names)
+        assert cov.shape == corr.shape == (stack.shape[0], stack.shape[2], stack.shape[2])
+        for k, window in enumerate(stack):
+            want = np.atleast_2d(np.cov(window, rowvar=False, ddof=1))
+            assert np.array_equal(cov[k], want)
+            assert np.array_equal(cov[k], analytics.covariance_values(window, names))
+            assert np.array_equal(corr[k], _np_cov_correlation(window))
+            assert np.array_equal(corr[k], analytics.correlation_values(window, names))
+
+    def test_constant_columns_correlate_zero(self):
+        values = np.array([[0.1, 2.0, 0.3], [0.2, 2.0, 0.1], [0.4, 2.0, 0.0]])
+        corr = analytics.correlation_values(np.stack([values, values[::-1]]), "ABC")
+        assert np.array_equal(corr[:, 1], [[0.0, 1.0, 0.0]] * 2)
+        assert np.array_equal(corr[:, :, 1], [[0.0, 1.0, 0.0]] * 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_the_column_of_the_first_window_that_has_one(self):
+        calm = np.array([[0.01, 0.02], [0.02, -0.01], [0.0, 0.01]])
+        stack = np.stack([calm, calm[:, ::-1].copy(), calm])
+        stack[1, :, 1] = [1e300, -1.0, 1e300]  # column B of the second window
+        stack[2, :, 0] = [1e300, -1.0, 1e300]  # column A of the third
+        for fn in (analytics.covariance_values, analytics.correlation_values):
+            with pytest.raises(NonFiniteError, match="of B over 3 rows"):
+                fn(stack, ("A", "B"))
+
+    def test_two_rows_is_the_least_a_stack_may_have(self):
+        values = np.array([[[1.0, 2.0], [3.0, 5.0]]])
+        assert np.array_equal(analytics.covariance_values(values, "AB"), [[[2.0, 3.0], [3.0, 4.5]]])
+        with pytest.raises(InsufficientDataError):
+            analytics.covariance_values(values[:, :1], "AB")
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 

@@ -1,11 +1,13 @@
+import csv
 import math
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import make_table
+from portlab import market_data
 from portlab.errors import (
     DateOrderError,
     PriceParseError,
@@ -133,6 +135,132 @@ class TestLoadPrices:
         table = load_prices(_write(tmp_path, text))
         assert math.isnan(table.closes[1, 0])
         assert table.has_missing()
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["1_000", "\u0661\u0662\u0663", "1\u00b2"],
+        ids=["underscore", "arabic-indic-digits", "superscript"],
+    )
+    def test_what_float_reads_but_is_no_decimal_is_non_numeric(self, tmp_path, cell):
+        text = THREE_ROWS.replace("2019-01-02,101,199", f"2019-01-02,101,{cell}")
+        with pytest.raises(PriceParseError) as exc:
+            load_prices(_write(tmp_path, text))
+        assert str(exc.value).endswith(f"row 3: non-numeric price {cell!r} for B")
+
+    def test_non_ascii_whitespace_around_a_price_is_stripped(self, tmp_path):
+        text = THREE_ROWS.replace("2019-01-02,101,199", "2019-01-02,\u00a0101\u2003,\u00a0")
+        table = load_prices(_write(tmp_path, text))
+        assert table.closes[1, 0] == 101.0
+        assert math.isnan(table.closes[1, 1])
+
+
+def _dated_rows(n: int, cells=lambda i: f"{100 + i},{200 - i}") -> list[str]:
+    days = weekday_dates(date(2019, 1, 1), n)
+    return [f"{d.isoformat()},{cells(i)}" for i, d in enumerate(days)]
+
+
+class TestLoadPricesInBlocks:
+    """Blocks of 3 rows of 2 prices, so that every case crosses a block boundary."""
+
+    @pytest.fixture(autouse=True)
+    def _three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(market_data, "_PARSE_CELLS", 6)
+
+    def test_blocks_give_the_one_block_table(self, tmp_path, monkeypatch):
+        rows = _dated_rows(10)
+        rows[4] = rows[4].split(",")[0] + ",,201"
+        rows[6] = rows[6].split(",")[0] + ", ,"
+        path = _write(tmp_path, "\n".join(["date,A,B", *rows[:5], "", *rows[5:]]) + "\n")
+        table = load_prices(path)
+        monkeypatch.setattr(market_data, "_PARSE_CELLS", 1 << 12)
+        whole = load_prices(path)
+        assert table.dates == whole.dates
+        assert np.array_equal(table.closes, whole.closes, equal_nan=True)
+        assert table.n_rows == 10
+        assert np.isnan(table.closes[[4, 6, 6], [0, 0, 1]]).all()
+
+    def test_error_in_a_later_block_names_its_row(self, tmp_path):
+        rows = _dated_rows(10)
+        rows[7] = rows[7].replace(",107,", ",1O7,")
+        # an empty line still counts as a row
+        path = _write(tmp_path, "\n".join(["date,A,B", *rows[:2], "", *rows[2:]]) + "\n")
+        with pytest.raises(PriceParseError) as exc:
+            load_prices(path)
+        assert str(exc.value) == f"{path}: row 10: non-numeric price '1O7' for A"
+
+    @pytest.mark.parametrize(
+        "row", [3, 4, 5], ids=["first-of-a-block", "inside-a-block", "last-of-a-block"]
+    )
+    def test_date_order_is_checked_across_blocks(self, tmp_path, row):
+        rows = _dated_rows(9)
+        # data row ``row`` (0-based) repeats the date before it
+        rows[row] = rows[row - 1].split(",")[0] + ",1,2"
+        path = _write(tmp_path, "\n".join(["date,A,B", *rows]) + "\n")
+        with pytest.raises(DateOrderError, match=f"row {row + 2}: date "):
+            load_prices(path)
+
+    def test_missing_cells_on_both_sides_of_a_boundary_fill_as_before(self, tmp_path):
+        rows = _dated_rows(8)
+        rows[2] = rows[2].split(",")[0] + ",,202"  # last row of the first block
+        rows[3] = rows[3].split(",")[0] + ",,"  # first row of the second
+        filled = forward_fill(load_prices(_write(tmp_path, "\n".join(["date,A,B", *rows]))))
+        assert filled.closes[:, 0].tolist() == [100, 101, 101, 101, 104, 105, 106, 107]
+        assert filled.closes[:, 1].tolist() == [200, 199, 202, 202, 196, 195, 194, 193]
+
+    @pytest.mark.parametrize(
+        ("cell", "message"),
+        [
+            ("nan", "price 'nan' for B must be finite and > 0"),
+            ("-1", "price '-1' for B must be finite and > 0"),
+            ("1e400", "price '1e400' for B must be finite and > 0"),
+            ("1_0", "non-numeric price '1_0' for B"),
+        ],
+    )
+    def test_block_checks_give_the_row_message(self, tmp_path, cell, message):
+        rows = _dated_rows(8)
+        rows[5] = rows[5].split(",")[0] + f",1,{cell}"
+        path = _write(tmp_path, "\n".join(["date,A,B", *rows]))
+        with pytest.raises(PriceParseError) as exc:
+            load_prices(path)
+        assert str(exc.value) == f"{path}: row 7: {message}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from(["", " ", "1", "2.5", " 3 ", "4e1", "nan", "-1", "1_0", "x"]),
+            min_size=2,
+            max_size=2,
+        ),
+        min_size=3, max_size=9,
+    ),
+    st.integers(1, 4),
+)
+def test_block_parse_agrees_with_the_row_walk(tmp_path_factory, cells, block):
+    """Any block size gives the table, or the error, of a walk over every row."""
+    rows = _dated_rows(len(cells), lambda i: ",".join(cells[i]))
+    path = tmp_path_factory.mktemp("blocks") / "prices.csv"
+    path.write_text("\n".join(["date,A,B", *rows]) + "\n", encoding="utf-8")
+    blocks = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
+    try:
+        want = market_data._parse_rows(path, ["A", "B"], blocks, 2, None)
+    except PriceParseError as exc:
+        want = str(exc)
+    old_cells = market_data._PARSE_CELLS
+    market_data._PARSE_CELLS = 2 * block
+    try:
+        got = load_prices(path)
+    except PriceParseError as exc:
+        got = str(exc)
+    finally:
+        market_data._PARSE_CELLS = old_cells
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.dates == tuple(want[0])
+        assert np.array_equal(got.closes, want[1], equal_nan=True)
 
 
 class TestPriceTable:

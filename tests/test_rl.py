@@ -168,6 +168,52 @@ def test_feature_table_rows_are_the_visited_windows():
         assert np.array_equal(table.at(t), want)
 
 
+def _recorded_stacks(monkeypatch) -> list:
+    """Let ``correlation_values`` run as usual; return the window count of every call."""
+    sizes = []
+
+    def recorded(values, names):
+        sizes.append(values.shape[0])
+        return correlation_values(values, names)
+
+    monkeypatch.setattr(portlab.rl.env, "correlation_values", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    ("block_cells", "sizes"),
+    [(1 << 17, [11]), (150, [2, 2, 2, 2, 2, 1]), (1, [1] * 11)],
+    ids=["one-block", "two-window-blocks", "one-window-blocks"],
+)
+def test_feature_table_blocks_give_every_window_its_row(monkeypatch, block_cells, sizes):
+    returns = random_returns(np.random.default_rng(5), 47, 5)
+    hp = _small_hp(window=7, rebalance_period=4)
+    whole = FeatureTable(returns, hp).values
+    monkeypatch.setattr(portlab.rl.env, "_BLOCK_CELLS", block_cells)
+    calls = _recorded_stacks(monkeypatch)
+    # 5 assets, window 7: a block holds block_cells // (5 * 12) windows
+    assert np.array_equal(FeatureTable(returns, hp).values, whole)
+    assert calls == sizes
+
+
+@pytest.mark.parametrize("block_cells", [1 << 17, 150, 1])
+def test_feature_table_overflow_names_the_same_window_whatever_the_blocks(
+    monkeypatch, block_cells
+):
+    returns = random_returns(np.random.default_rng(5), 47, 5)
+    values = returns.values.copy()
+    # rows 25..27 of column T3: in windows 5 and 6 (rows 20..26 and 24..30)
+    values[25:28, 3] = [1e300, -1.0, 1e300]
+    bad = ReturnTable(returns.dates, returns.tickers, values)
+    monkeypatch.setattr(portlab.rl.env, "_BLOCK_CELLS", block_cells)
+    with pytest.raises(NonFiniteError) as exc:
+        FeatureTable(bad, _small_hp(window=7, rebalance_period=4))
+    first, last = returns.dates[20], returns.dates[26]
+    assert str(exc.value) == (
+        f"in the window {first} to {last}: sample covariance of T3 over 7 rows overflows float64"
+    )
+
+
 @pytest.mark.parametrize("t", [6, 8, 48])
 def test_feature_table_rejects_time_off_its_grid(t):
     returns = random_returns(np.random.default_rng(5), 47, 3)
@@ -292,12 +338,13 @@ def test_env_state_rejects_bad_features_and_weights(weights):
 
 
 def _out_of_range_correlations(monkeypatch, value: float) -> list:
-    """Make every window's correlations ``value``; return the list of windows computed."""
+    """Make every window's correlations ``value``; return the shapes of the stacks computed."""
     calls = []
 
     def out_of_range(values, names):
         calls.append(values.shape)
-        return np.full((values.shape[1],) * 2, value)
+        k, _, n = values.shape
+        return np.full((k, n, n), value)
 
     monkeypatch.setattr(portlab.rl.env, "correlation_values", out_of_range)
     return calls
@@ -318,7 +365,7 @@ def test_feature_table_checks_its_rows_once(monkeypatch):
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
         FeatureTable(returns, _small_hp())
     # every window was computed before the one range check over all rows
-    assert len(calls) == len(range(10, 31, 3))
+    assert sum(k for k, _, _ in calls) == len(range(10, 31, 3))
 
 
 def test_env_step_rejects_non_finite_reward():
