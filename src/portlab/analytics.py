@@ -18,7 +18,10 @@ Conventions, fixed once so golden values stay stable:
 * correlation entries involving a (near-)constant column are 0, never NaN,
   with variances floored at ``VARIANCE_FLOOR`` wherever they divide;
 * statistics are plain arrays (the ``(n, n)`` covariance and correlation,
-  the ``(T,)`` curve), each checked once by the function that produces it.
+  the ``(T,)`` curve), each checked once by the function that produces it;
+  a :class:`ReturnTable` is checked by :func:`simple_returns`, its one
+  producer, and what reaches it was checked where it entered (the price
+  file by ``load_prices``), so no type re-checks what its producer built.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ SIMPLEX_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ReturnTable:
-    """Daily fractional returns; row ``t`` is dated at the later day of the pair."""
+    """Daily fractional returns; row ``t`` is dated at the later day of the pair.
+
+    :func:`simple_returns` builds the ``(dates, tickers)`` shape and checks
+    every value finite, so the class itself checks nothing.
+    """
 
     dates: tuple[date, ...]
     tickers: tuple[str, ...]
@@ -49,10 +56,6 @@ class ReturnTable:
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.dates), len(self.tickers)):
-            raise ValueError("returns shape does not match dates x tickers")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("returns must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(self.tickers))

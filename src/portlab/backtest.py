@@ -134,8 +134,6 @@ def compare_methods(reports: list[BacktestReport]) -> list[tuple[str, tuple[floa
     Methods outside METHOD_ORDER are ignored; methods missing for a
     dataset stay None so the CSV renders an empty cell rather than a zero.
     """
-    if not reports:
-        raise PortlabError("need at least one report to compare")
     by_key: dict[tuple[str, str], float] = {}
     for report in reports:
         if report.phase != "test" or report.method not in METHOD_ORDER:

@@ -144,7 +144,7 @@ def cmd_rl_eval(config: RunConfig) -> None:
     )
     _write_repr_column(out / "rl_curve.csv", "date,cumulative_return", report.dates, report.curve)
     header = ["date", *data.tickers]
-    write_float_csv(out / "rl_schedule.csv", header, [weights], labels=data.test_returns.dates)
+    write_float_csv(out / "rl_schedule.csv", header, weights, labels=data.test_returns.dates)
 
 
 def cmd_compare(config: RunConfig) -> None:

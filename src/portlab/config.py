@@ -48,9 +48,9 @@ class RunConfig:
 
 
 def _parse_path(raw: str) -> Path:
-    # Path("") is Path("."), which no key means
-    if not raw:
-        raise ValueError("empty path")
+    # Path("") is Path("."), which no key means, and no file name holds a NUL
+    if not raw or "\0" in raw:
+        raise ValueError(raw)
     return Path(raw)
 
 

@@ -23,25 +23,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import VARIANCE_FLOOR, ReturnTable, correlation, covariance, square_matrix
+from .analytics import VARIANCE_FLOOR, ReturnTable, correlation, covariance
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric non-negative distances with zero diagonal."""
+    """Symmetric non-negative distances with zero diagonal, and their tickers.
+
+    :func:`corr_distance` and :func:`codistance` build each of these
+    properties, so the class checks nothing. It stays only as the
+    benchmark tracer's handle: perfbench/tracer.py reads the ``tickers``
+    of what :func:`codistance` returns.
+    """
 
     tickers: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.tickers), len(self.tickers)):
-            raise ValueError("distance matrix shape does not match tickers")
-        square_matrix(values, "distance")
-        if not np.all(np.diag(values) == 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
-        if not np.all(values >= 0):
-            raise ValueError("distances must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "values", values)
@@ -116,8 +115,6 @@ def single_linkage(d: DistanceMatrix) -> np.ndarray:
     the HRP weights, equivariant under input permutations.
     """
     n = len(d.tickers)
-    if n < 2:
-        raise ValueError("need at least 2 assets to cluster")
     colsums = d.values.sum(axis=0)
 
     total = 2 * n - 1
@@ -171,8 +168,6 @@ def cluster_variance(cov_sub: np.ndarray) -> float:
     entries floored at VARIANCE_FLOOR so constant assets cannot divide by zero.
     """
     v = np.atleast_2d(np.asarray(cov_sub, dtype=float))
-    if v.shape[0] == 0:
-        raise ValueError("cluster must be non-empty")
     diag = np.maximum(np.diag(v), VARIANCE_FLOOR)
     v = v.copy()
     np.fill_diagonal(v, diag)

@@ -8,6 +8,11 @@ non-ASCII digits. Rows are parsed in blocks of about ``_PARSE_CELLS``
 price cells: each block's cells become one float array, checked with
 array operations, and only a block that fails a check is walked row by
 row, to report its first bad cell with the row number.
+
+The ``csv`` module's default field limit of 131,072 characters stays:
+no price or ticker comes near it. A longer cell, like any other text
+the ``csv`` module cannot read, is a :class:`PriceParseError` naming the
+file and the line.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ class PriceTable:
 
     Missing cells are NaN until :func:`forward_fill` removes them. The
     array is stored read-only so tables can be shared across threads.
+    A table is checked where it enters: :func:`load_prices` requires at
+    least 2 distinct tickers, 3 rows, increasing dates and prices finite
+    and > 0, and :func:`forward_fill` and :func:`split_by_date` keep
+    those properties, so the class itself checks nothing.
     """
 
     dates: tuple[date, ...]
@@ -48,30 +57,10 @@ class PriceTable:
     closes: np.ndarray
 
     def __post_init__(self) -> None:
-        dates = tuple(self.dates)
-        tickers = tuple(str(t) for t in self.tickers)
         closes = np.array(self.closes, dtype=float)
-
-        if len(tickers) < 2:
-            raise SchemaError(f"need at least 2 tickers, got {len(tickers)}")
-        if len(set(tickers)) != len(tickers):
-            raise SchemaError("duplicate ticker names")
-        if len(dates) < 3:
-            raise SchemaError(f"need at least 3 price rows, got {len(dates)}")
-        if any(b <= a for a, b in zip(dates, dates[1:])):
-            raise DateOrderError("dates must be strictly increasing")
-        if closes.shape != (len(dates), len(tickers)):
-            raise ValueError(
-                f"closes shape {closes.shape} does not match "
-                f"{len(dates)} dates x {len(tickers)} tickers"
-            )
-        present = closes[~np.isnan(closes)]
-        if np.any(np.isinf(present)) or np.any(present <= 0):
-            raise ValueError("close prices must be finite and > 0")
-
         closes.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "tickers", tickers)
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
         object.__setattr__(self, "closes", closes)
 
     @property
@@ -109,7 +98,7 @@ def load_prices(path: str | Path) -> PriceTable:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(path, fh))
+        reader = _records(path, _utf8_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -229,6 +218,15 @@ def _parse_rows(
         dates.append(d)
         rows.append(cells)
     return dates, np.array(rows, dtype=float).reshape(len(rows), len(tickers))
+
+
+def _records(path: Path, lines: Iterator[str]) -> Iterator[list[str]]:
+    """CSV records of ``lines``; a ``csv.Error`` raises :class:`PriceParseError` naming ``path``."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise PriceParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _utf8_lines(path: Path, fh: TextIO) -> Iterator[str]:

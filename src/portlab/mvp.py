@@ -15,9 +15,10 @@ efficient frontier's bins) are row indices into it. A portfolio is its
 ``(N,)`` weight row, in the order of the tickers it was fitted on.
 
 The cloud is held once: :func:`sample_portfolios` fills it in place,
-and the frontier writers hand it and a row selection to
-:func:`~portlab.floatcsv.write_float_csv` as one piece, which formats
-one small block of rows at a time rather than the whole table.
+and the frontier writers hand it, or the rows they select, to
+:func:`~portlab.floatcsv.write_float_csv` as one table, which formats
+one small block of rows at a time rather than the whole table. A slice
+of rows is a view, so the whole cloud is never copied.
 """
 
 from __future__ import annotations
@@ -108,8 +109,6 @@ def max_sharpe_row(cloud: np.ndarray) -> int:
 
 def efficient_frontier(cloud: np.ndarray, bins: int) -> np.ndarray:
     """Rows of the maximum-return point per volatility bin, ordered by volatility."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     vols = cloud[:, VOLATILITY]
     rets = cloud[:, RETURN]
     vmin = float(vols.min())
@@ -139,4 +138,4 @@ def write_frontier_rows(cloud: np.ndarray, rows: np.ndarray | slice, path: str |
     """Write the cloud's rows ``rows`` (indices or a slice) in the layout above."""
     n_assets = cloud.shape[1] - FIRST_WEIGHT
     header = ["volatility", "return", "sharpe"] + [f"w{i + 1}" for i in range(n_assets)]
-    write_float_csv(path, header, [cloud], rows=rows)
+    write_float_csv(path, header, cloud[rows])

@@ -119,8 +119,6 @@ class ReplayBuffer:
 
 def epsilon_greedy(qvals: np.ndarray, eps: float, rng: np.random.Generator) -> int:
     """Uniform random action with probability eps, else argmax (ties: lowest id)."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
     if rng.random() < eps:
         return int(rng.integers(0, len(qvals)))
     return int(qvals.argmax())
@@ -214,4 +212,4 @@ def evaluate(
 def write_training_log(log: np.ndarray, path: str | Path) -> None:
     """CSV log: ``episode,cum_reward,mean_loss,epsilon``, the episode being the row index."""
     labels = [str(episode) for episode in range(log.shape[0])]
-    write_float_csv(path, ["episode", *LOG_COLUMNS], [log], labels=labels)
+    write_float_csv(path, ["episode", *LOG_COLUMNS], log, labels=labels)

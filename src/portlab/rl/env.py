@@ -19,9 +19,15 @@ weights and ``t``: :func:`state_features` reads the features at ``t``
 from the table.
 
 Each check sits with the data it guards: a :class:`FeatureTable` checks
-the [-1, 1] range of all its rows once, when built; every
-:class:`EnvState` checks that its weights lie on the simplex; and
-:func:`env_step` checks that the reward it computes is finite.
+that the table is longer than ``window + rebalance_period`` and the
+[-1, 1] range of all its rows once, when built; every :class:`EnvState`
+checks that its weights lie on the simplex; and :func:`env_step` checks
+that the reward it computes is finite. Nothing re-checks what these
+establish: an action comes from a network with :func:`num_actions`
+outputs (``train`` builds it, and ``rl-eval`` checks the dimensions of a
+loaded one), so :func:`apply_action` takes it as valid, and the table's
+length check with ``done`` stops every rollout before a step could run
+past the last row.
 """
 
 from __future__ import annotations
@@ -78,8 +84,6 @@ def state_features(state: EnvState, table: FeatureTable) -> np.ndarray:
 def apply_action(weights: np.ndarray, action: int, delta: float) -> np.ndarray:
     """Adjust one weight by ``delta`` and renormalize; hold leaves weights as-is."""
     n = weights.shape[0]
-    if not 0 <= action <= 2 * n:
-        raise ValueError(f"action id {action} out of range for {n} assets")
     if action == hold_action(n):
         return weights
     asset, is_sell = divmod(action, 2)
@@ -181,10 +185,6 @@ def env_step(
     """
     returns = table.returns
     t = state.t
-    if t + hp.rebalance_period > returns.n_rows:
-        raise InsufficientDataError(
-            f"cannot step: only {returns.n_rows - t} rows left at t={t}"
-        )
     weights = apply_action(state.weights, action, hp.step_delta)
     t_next = t + hp.rebalance_period
     next_state = EnvState(weights, t_next)

@@ -97,12 +97,7 @@ def qnet_init(n_assets: int, hp: Hyperparams, rng: np.random.Generator) -> QNetw
 
 
 def qnet_forward(net: QNetwork, features: np.ndarray) -> np.ndarray:
-    """Action values for a single feature vector."""
-    features = np.asarray(features, dtype=float)
-    if features.shape != (net.n_inputs,):
-        raise ValueError(
-            f"expected feature vector of length {net.n_inputs}, got {features.shape}"
-        )
+    """Action values for a single ``(n_inputs,)`` feature vector."""
     return _forward_batch(net, features[None, :])[0]
 
 
@@ -184,7 +179,7 @@ def _backprop(net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.nda
 def save_qnetwork(net: QNetwork, path: str | Path) -> None:
     """Write dims then parameters (row-major per layer, weights before biases)."""
     header = "qnetwork " + " ".join(str(d) for d in net.layer_dims)
-    write_float_csv(path, [header], [net.params])
+    write_float_csv(path, [header], net.params)
 
 
 def load_qnetwork(path: str | Path) -> QNetwork:

@@ -1,8 +1,10 @@
 """CLI behaviour end to end.
 
-Bad input (a malformed saved model or report, an out-of-range config
+Bad input (a malformed saved model or report, a report of another phase,
+two test reports of one method, no test report, an out-of-range config
 value, an allocation too large for the address space, a file that is
-not UTF-8, an empty or repeated ticker name, an empty output directory,
+not UTF-8, an empty or short price file, a cell beyond the csv module's
+field limit, an empty or repeated ticker name, an empty output directory,
 prices whose returns or statistics overflow) gives exit 1 and one
 ``error:`` line; ``import portlab.cli`` and ``compare`` load no numpy,
 ``mvp`` and ``hrp`` load no module of the agent, and ``hrp`` loads
@@ -161,6 +163,7 @@ def _edit_report(**fields):
             "annual_return must be a finite number",
         ),
         (_edit_report(risk=True, sharpe=0.1), "annual_risk must be a finite number"),
+        (_edit_report(phase="dev"), "phase must be train or test, got 'dev'"),
     ],
     ids=[
         "truncated",
@@ -177,6 +180,7 @@ def _edit_report(**fields):
         "numeric-string-risk",
         "numeric-string-scalars",
         "bool-risk",
+        "dev-phase",
     ],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
@@ -189,6 +193,30 @@ def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert "report_MVP_test.json" in err[0]
     assert message in err[0]
+
+
+@pytest.mark.parametrize(
+    ("names", "phase", "message"),
+    [
+        (
+            ["report_MVP_test.json", "report_MVP_test_copy.json"],
+            "test",
+            "duplicate test report for dataset 'd' method 'MVP'",
+        ),
+        (["report_MVP_train.json"], "train", "no test-phase reports among the inputs"),
+    ],
+    ids=["two-test-reports-of-one-method", "train-reports-only"],
+)
+def test_compare_needs_one_test_report_per_method(run_dir, capsys, names, phase, message):
+    config, out = run_dir
+    path = _saved_report(out)
+    text = _edit_report(phase=phase)(path.read_text(encoding="utf-8"))
+    path.unlink()
+    for name in names:
+        (out / name).write_text(text, encoding="utf-8")
+    code = cli.main(["compare", "--config", str(config), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize(
@@ -217,6 +245,45 @@ def test_non_utf8_input_gives_one_line_error(tmp_path, fixture_csv, capsys, comm
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert str(target) in err[0]
+
+
+def _with_cell(line: int, column: int, cell: str):
+    """An edit of the fixture's lines that sets cell ``column`` of line ``line`` (from 1)."""
+
+    def edit(lines: list[str]) -> list[str]:
+        cells = lines[line - 1].split(",")
+        cells[column] = cell
+        return lines[: line - 1] + [",".join(cells)] + lines[line:]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        # 200,000 characters: beyond the csv module's field limit of 131,072
+        (_with_cell(1, 2, "9" * 200_000), "line 1: field larger than field limit (131072)"),
+        (_with_cell(4, 3, "9" * 200_000), "line 4: field larger than field limit (131072)"),
+        (lambda lines: [], "empty file"),
+        (lambda lines: lines[:3], "need at least 3 data rows, got 2"),
+        # the empty line 3 and the bad cell on line 5 share one parse block,
+        # which the row walk then reads, skipping the empty line
+        (
+            lambda lines: _with_cell(5, 2, "1.0x")(lines[:2] + [""] + lines[2:]),
+            "row 5: non-numeric price '1.0x' for STK1",
+        ),
+    ],
+    ids=["long-ticker", "long-price", "empty", "two-rows", "empty-line-before-a-bad-cell"],
+)
+def test_bad_price_file_gives_one_line_error(tmp_path, fixture_csv, capsys, edit, message):
+    prices = tmp_path / "prices.csv"
+    lines = edit(fixture_csv.read_text(encoding="utf-8").splitlines())
+    prices.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    _write_config(config, prices)
+    code = cli.main(["hrp", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {prices}: {message}"]
 
 
 def _hrp_with_extra_column(tmp_path, fixture_csv, capsys, ticker: str) -> tuple[Path, str]:
@@ -301,6 +368,19 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         # a 92.4 PiB frontier cloud, likewise; it is allocated before the
         # sampler spawns a child seed for each of its 10**12 chunks
         ("mvp", "mc_samples = 1000000000000000\n", None, "Unable to allocate"),
+        ("rl-train", "rl.window = 1\n", None, ": rl.window must be >= 2"),
+        ("rl-train", "rl.episodes = -1\n", None, ": rl.episodes must be >= 0"),
+        ("rl-train", "rl.batch_size = 0\n", None, ": rl.batch_size must be >= 1"),
+        ("rl-train", "rl.rebalance_period = 0\n", None, ": rl.rebalance_period must be >= 1"),
+        ("rl-train", "rl.discount = 1.5\n", None, ": rl.discount must be in [0, 1]"),
+        ("rl-train", "rl.eps_start = 2\n", None, ": rl.eps_start must be in [0, 1]"),
+        ("rl-train", "rl.eps_min = -0.1\n", None, ": rl.eps_min must be in [0, 1]"),
+        ("rl-train", "rl.eps_decay = nan\n", None, ": rl.eps_decay must be in [0, 1]"),
+        ("rl-train", "rl.step_delta = 1\n", None, ": rl.step_delta must be in (0, 1)"),
+        ("rl-train", "rl.hidden_dims = 8, 0\n", None, ": rl.hidden_dims widths must be >= 1"),
+        ("rl-train", "rl.replay_capacity = 0\n", None, ": rl.replay_capacity must be >= 1"),
+        # open() refuses a path holding a NUL with a ValueError
+        ("hrp", "out_dir = runs\0x\n", None, ":4: bad value 'runs\\x00x' for key 'out_dir'"),
     ],
     ids=[
         "negative-seed",
@@ -312,6 +392,18 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         "batch-above-capacity",
         "oversized-replay-capacity",
         "oversized-mc-samples",
+        "one-row-window",
+        "negative-episodes",
+        "zero-batch-size",
+        "zero-rebalance-period",
+        "discount-above-one",
+        "eps-start-above-one",
+        "negative-eps-min",
+        "nan-eps-decay",
+        "step-delta-of-one",
+        "zero-hidden-width",
+        "zero-replay-capacity",
+        "nul-in-a-path",
     ],
 )
 def test_bad_config_value_gives_one_line_error(

@@ -113,14 +113,6 @@ def random_codistance(rng: np.random.Generator, n: int) -> DistanceMatrix:
     return hrp.codistance(distances(random_returns(rng, 3 * n, n)))
 
 
-class TestDistanceMatrix:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_off_diagonal(self, bad):
-        values = np.array([[0.0, 1.0, bad], [1.0, 0.0, 2.0], [bad, 2.0, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            dist(values)
-
-
 class TestCorrDistance:
     def test_bounds_and_midpoint(self):
         corr = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, -1.0], [0.5, -1.0, 1.0]])

@@ -17,7 +17,6 @@ from portlab.errors import (
 )
 from portlab.market_data import (
     DateSplit,
-    PriceTable,
     forward_fill,
     load_prices,
     split_by_date,
@@ -82,10 +81,6 @@ class TestLoadPrices:
         with pytest.raises(SchemaError) as exc:
             load_prices(path)
         assert str(exc.value) == f"{path}: column {column} repeats ticker {ticker!r}"
-
-    def test_price_table_rejects_repeated_tickers(self):
-        with pytest.raises(SchemaError, match="duplicate ticker names"):
-            PriceTable(weekday_dates(date(2019, 1, 1), 3), ("A", "A"), np.ones((3, 2)))
 
     def test_non_monotone_dates(self, tmp_path):
         text = (
@@ -264,11 +259,6 @@ def test_block_parse_agrees_with_the_row_walk(tmp_path_factory, cells, block):
 
 
 class TestPriceTable:
-    def test_rejects_duplicate_dates(self):
-        days = weekday_dates(date(2019, 1, 1), 3)
-        with pytest.raises(DateOrderError):
-            PriceTable((days[0], days[0], days[1]), ("A", "B"), np.ones((3, 2)))
-
     def test_closes_are_read_only(self):
         table = make_table(np.ones((3, 2)))
         with pytest.raises(ValueError):
