@@ -8,9 +8,6 @@ Conventions, fixed once so golden values stay stable:
   has a default for it. Means scale by the factor itself, volatilities by
   its square root. :func:`annualize` is the one implementation for a daily
   return stream, shared by the backtest and the agent's reward;
-* a weight vector is on the unit simplex when every weight is >= 0 and it
-  sums to 1 within ``SIMPLEX_TOL``, a NaN failing both;
-  :func:`on_simplex` is the one check, applied row by row;
 * :func:`covariance_values` is the one covariance, used by MVP, HRP and
   the agent's features alike: the steps ``np.cov`` runs, with its bits,
   over one ``(T, N)`` table or a ``(K, T, N)`` stack of rolling windows,
@@ -18,10 +15,13 @@ Conventions, fixed once so golden values stay stable:
 * correlation entries involving a (near-)constant column are 0, never NaN,
   with variances floored at ``VARIANCE_FLOOR`` wherever they divide;
 * statistics are plain arrays (the ``(n, n)`` covariance and correlation,
-  the ``(T,)`` curve), each checked once by the function that produces it;
-  a :class:`ReturnTable` is checked by :func:`simple_returns`, its one
-  producer, and what reaches it was checked where it entered (the price
-  file by ``load_prices``), so no type re-checks what its producer built.
+  the ``(T,)`` curve). What reaches this module was checked where it
+  entered (the price file by ``load_prices``, the config by its loader),
+  so only overflow is checked here: a covariance is symmetric with a
+  non-negative diagonal by its arithmetic, a correlation has a unit
+  diagonal and entries in [-1, 1] by construction, and a weight row
+  handed to :func:`schedule_returns` was normalised by the method that
+  made it.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, NonFiniteError, UndefinedSharpeError
+from .errors import NonFiniteError, UndefinedSharpeError
 
 if TYPE_CHECKING:
     from .market_data import PriceTable
 
 VARIANCE_FLOOR = 1e-12
-SIMPLEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,7 @@ class ReturnTable:
 
 
 def simple_returns(table: PriceTable) -> ReturnTable:
-    """Day-over-day fractional changes: ``P[t+1] / P[t] - 1``."""
-    if table.has_missing():
-        raise ValueError("price table still has missing cells; forward_fill first")
+    """Day-over-day fractional changes: ``P[t+1] / P[t] - 1`` of a forward-filled table."""
     closes = table.closes
     with np.errstate(over="ignore"):
         values = closes[1:] / closes[:-1] - 1.0
@@ -93,8 +90,6 @@ def annual_mean(returns: ReturnTable, trading_days: int) -> np.ndarray:
     Raises :class:`NonFiniteError` naming the first asset whose annual
     mean overflows float64.
     """
-    if returns.n_rows < 1:
-        raise InsufficientDataError("annual mean needs at least 1 return row")
     with np.errstate(over="ignore", invalid="ignore"):
         values = returns.values.mean(axis=0) * trading_days
     bad = ~np.isfinite(values)
@@ -122,8 +117,6 @@ def covariance_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """
     x = np.array(values, dtype=float)
     rows = x.shape[-2]
-    if rows < 2:
-        raise InsufficientDataError("covariance needs at least 2 rows")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.add.reduce(x, axis=-2) / rows
         x -= mean[..., None, :]
@@ -157,46 +150,12 @@ def correlation_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     return corr
 
 
-def square_matrix(values: np.ndarray, label: str) -> np.ndarray:
-    """``values`` as a float array, checked n x n, finite and symmetric within 1e-12."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"{label} matrix must be square, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{label} entries must be finite")
-    if not np.max(np.abs(values - values.T), initial=0.0) <= 1e-12:
-        raise ValueError(f"{label} matrix must be symmetric within 1e-12")
-    return values
-
-
-def checked_covariance(values: np.ndarray) -> np.ndarray:
-    """``values`` checked as a covariance: square, symmetric, PSD, diagonal >= 0."""
-    values = square_matrix(values, "covariance")
-    if not np.all(np.diag(values) >= 0):
-        raise ValueError("covariance diagonal must be non-negative")
-    # rounding leaves eigenvalues of a singular matrix about eps * scale below 0
-    scale = max(1.0, float(np.max(np.diag(values), initial=0.0)))
-    if not np.linalg.eigvalsh(values).min() >= -1e-9 * scale:
-        raise ValueError("covariance matrix must be positive semidefinite")
-    return values
-
-
-def checked_correlation(values: np.ndarray) -> np.ndarray:
-    """``values`` checked as a correlation: square, symmetric, unit diagonal, in [-1, 1]."""
-    values = square_matrix(values, "correlation")
-    if not np.all(np.diag(values) == 1.0):
-        raise ValueError("correlation diagonal must be exactly 1")
-    if not np.all((values >= -1.0) & (values <= 1.0)):
-        raise ValueError("correlation entries must lie in [-1, 1]")
-    return values
-
-
 def covariance(returns: ReturnTable) -> np.ndarray:
-    return checked_covariance(covariance_values(returns.values, returns.tickers))
+    return covariance_values(returns.values, returns.tickers)
 
 
 def correlation(returns: ReturnTable) -> np.ndarray:
-    return checked_correlation(correlation_values(returns.values, returns.tickers))
+    return correlation_values(returns.values, returns.tickers)
 
 
 def annualize(daily: np.ndarray, trading_days: int) -> tuple[float, float]:
@@ -215,16 +174,6 @@ def annualize(daily: np.ndarray, trading_days: int) -> tuple[float, float]:
     else:
         std = 0.0
     return float(daily_mean) * trading_days, std * math.sqrt(trading_days)
-
-
-def on_simplex(weights: np.ndarray) -> bool:
-    """Whether each row (last axis) is >= 0 and sums to 1 within ``SIMPLEX_TOL``; NaN fails.
-
-    Plain ufunc reductions, since the agent checks a state on every step.
-    """
-    low = np.minimum.reduce(weights, None)
-    deviation = np.maximum.reduce(abs(np.add.reduce(weights, -1) - 1.0), None)
-    return bool(low >= 0.0 and deviation <= SIMPLEX_TOL)
 
 
 def sharpe_ratio(portfolio_return: float, risk_free: float, portfolio_vol: float) -> float:
@@ -251,21 +200,12 @@ def schedule_returns(returns: ReturnTable, weights: np.ndarray) -> tuple[np.ndar
 
     The one place portfolio daily returns are computed. ``weights`` is
     either one ``(N,)`` row held on every date or one ``(T, N)`` row per
-    return row; a held row is broadcast, which gives the same bits as its
-    tile. Every row must lie on the simplex. A wrong shape or an
-    off-simplex row is the caller's bug, so it raises ``ValueError``.
-    Each day's returns are weighted and summed, then compounded as
+    return row, each on the simplex (the methods normalise what they
+    return); a held row is broadcast, which gives the same bits as its
+    tile. Each day's returns are weighted and summed, then compounded as
     ``prod(1 + r) - 1``. Raises :class:`NonFiniteError` if the compounded
     curve leaves the float64 range.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape not in ((returns.n_assets,), returns.values.shape):
-        raise ValueError(
-            f"weights of shape {weights.shape} are neither one row of {returns.n_assets} "
-            f"nor one row per return row {returns.values.shape}"
-        )
-    if not on_simplex(weights):
-        raise ValueError("every weight row must lie on the simplex")
     with np.errstate(over="ignore", invalid="ignore"):
         daily = (returns.values * weights).sum(axis=1)
         values = np.cumprod(1.0 + daily) - 1.0

@@ -11,12 +11,12 @@ precedence for the destination directory is ``--out`` > ``PLAB_OUT`` >
 config; ``PLAB_SEED`` overrides the configured seed.
 
 Each process runs one command, and its start-up is a large share of a
-short command's time. So this module imports only argparse, the config
-and the error types; each command imports the layers it runs when it
-runs. ``compare`` never loads numpy, ``mvp`` and ``hrp`` never load
-the agent, and ``hrp`` loads neither :mod:`~portlab.mvp` nor the CSV
-writer. Five library functions stay module attributes, called through
-this module's globals: ``load_prices``, ``train``, ``evaluate``,
+short command's time. So this module imports only argparse, the config,
+the number readers and the error types; each command imports the layers
+it runs when it runs. ``compare`` never loads numpy, ``mvp`` and ``hrp``
+never load the agent, and ``hrp`` loads neither :mod:`~portlab.mvp` nor
+the CSV writer. Five library functions stay module attributes, called
+through this module's globals: ``load_prices``, ``train``, ``evaluate``,
 ``save_qnetwork`` and ``load_qnetwork``. The benchmark's tracer
 (perfbench/tracer.py) wraps them here, in this namespace, so each is a
 stand-in that imports its module on the first call.
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .config import RunConfig, load_config, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError
+from .numtext import read_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,7 +66,7 @@ def cmd_mvp(config: RunConfig) -> None:
 
     data = _PreparedData(config)
     out = _ensure_out(config)
-    # covariance first: it reports fewer than 2 rows and overflowing squares
+    # covariance first: its overflow is reported before the annual mean's
     cov = analytics.covariance(data.train_returns)
     cloud = mvp.sample_portfolios(
         analytics.annual_mean(data.train_returns, config.trading_days),
@@ -254,7 +255,7 @@ def _load_and_override(config_path: Path, out_flag: str | None) -> RunConfig:
     seed_env = os.environ.get("PLAB_SEED")
     if seed_env is not None:
         try:
-            seed = int(seed_env)
+            seed = read_int(seed_env)
         except ValueError:
             raise ConfigError(f"PLAB_SEED must be an integer, got {seed_env!r}") from None
         try:

@@ -2,10 +2,10 @@
 
 The keys are the fields of :class:`RunConfig` and, prefixed ``rl.``,
 those of the agent's :class:`Hyperparams`; each value is parsed by its
-field's annotated type. Blank lines and ``#`` comments are ignored.
-Absent keys take their field's default; a field without one is a
-required key. ``rl.seed`` defaults to the top-level seed so one value
-pins the whole run.
+field's annotated type, a number by :mod:`~portlab.numtext`'s rule.
+Blank lines and ``#`` comments are ignored. Absent keys take their
+field's default; a field without one is a required key. ``rl.seed``
+defaults to the top-level seed so one value pins the whole run.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 from .errors import ConfigError
+from .numtext import read_float, read_int
 from .rl.params import Hyperparams
 
 
@@ -55,12 +56,12 @@ def _parse_path(raw: str) -> Path:
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in raw.split(",") if tok.strip())
+    return tuple(read_int(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
 _PARSERS: dict[Any, Callable[[str], Any]] = {
-    int: int,
-    float: float,
+    int: read_int,
+    float: read_float,
     Path: _parse_path,
     date: date.fromisoformat,
     tuple[int, ...]: _parse_dims,

@@ -13,11 +13,16 @@ The tree is an ``(n - 1, 4)`` float array in the linkage layout of
 leaf count. :func:`linkage_to_records` gives the records in ``hrp_linkage.json``.
 The weights are an ``(n,)`` array in the order of the return table's
 tickers.
+
+Each stage takes what the one before built, so none re-checks it:
+:func:`single_linkage` uses every node once with consistent sizes, and
+its merge distances are finite and never decrease, since each new row is
+the elementwise minimum of its children's rows; :func:`quasi_diag_order`
+of that tree is a permutation of the assets.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,36 +51,6 @@ class DistanceMatrix:
         object.__setattr__(self, "values", values)
 
 
-def checked_linkage(tree: np.ndarray, n_leaves: int) -> np.ndarray:
-    """``tree`` checked as the merges of ``n_leaves`` leaves, in the layout above.
-
-    Each child is a known node used once, each size is the sum of its
-    children's sizes, and the distances are finite and non-decreasing.
-    """
-    tree = np.asarray(tree, dtype=float)
-    if tree.shape != (n_leaves - 1, 4):
-        raise ValueError(f"expected {n_leaves - 1} merges, got shape {tree.shape}")
-    seen: set[float] = set()
-    sizes = {i: 1 for i in range(n_leaves)}
-    prev = -math.inf
-    for step, (left, right, distance, size) in enumerate(tree.tolist()):
-        for child in (left, right):
-            if child not in sizes:
-                raise ValueError(f"merge {step} references unknown node {child:g}")
-            if child in seen:
-                raise ValueError(f"node {child:g} used as a child twice")
-            seen.add(child)
-        if size != sizes[left] + sizes[right]:
-            raise ValueError(f"merge {step} size {size:g} inconsistent with children")
-        if not math.isfinite(distance):
-            raise ValueError(f"merge {step} distance {distance} is not finite")
-        if not distance >= prev - 1e-12:
-            raise ValueError("merge distances must be non-decreasing")
-        prev = distance
-        sizes[n_leaves + step] = size
-    return tree
-
-
 def corr_distance(corr: np.ndarray, tickers: Sequence[str]) -> DistanceMatrix:
     """Map the correlations of ``tickers`` to distances: ``sqrt(0.5 * (1 - rho))``."""
     values = np.sqrt(np.maximum(0.5 * (1.0 - corr), 0.0))
@@ -99,7 +74,7 @@ def codistance(d: DistanceMatrix) -> DistanceMatrix:
 
 
 def single_linkage(d: DistanceMatrix) -> np.ndarray:
-    """Agglomerate by repeatedly merging the closest pair of clusters; return the checked tree.
+    """Agglomerate by repeatedly merging the closest pair of clusters; return the tree.
 
     Cluster distance is the minimum over element pairs: after each merge,
     the new cluster's row is the elementwise minimum of its children's
@@ -139,7 +114,7 @@ def single_linkage(d: DistanceMatrix) -> np.ndarray:
         del active[bi], active[ai]
         active.append(new_id)
 
-    return checked_linkage(tree, n)
+    return tree
 
 
 def quasi_diag_order(tree: np.ndarray) -> list[int]:
@@ -179,17 +154,14 @@ def cluster_variance(cov_sub: np.ndarray) -> float:
 def recursive_bisection(cov: np.ndarray, order: list[int]) -> np.ndarray:
     """Top-down weights of the covariance's assets over the seriated asset list ``order``.
 
-    ``order`` must be a permutation of the covariance's asset indices, as
+    ``order`` is a permutation of the covariance's asset indices, as
     :func:`quasi_diag_order` returns. All weights start at 1. Each cluster
     splits into two contiguous halves (ceil(n/2) | rest); the left half is
     scaled by ``a = 1 - V1/(V1 + V2)`` and the right by ``1 - a``, where
     each V is the inverse-variance cluster variance. Cluster variances are
     floored so every split factor stays strictly inside (0, 1).
     """
-    n = cov.shape[0]
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"seriation order must be a permutation of 0..{n - 1}")
-    weights = np.ones(n)
+    weights = np.ones(cov.shape[0])
     stack: list[list[int]] = [list(order)]
     while stack:
         items = stack.pop()

@@ -4,10 +4,11 @@ The file format is a plain CSV with header ``date,TICK1,TICK2,...``,
 ISO-8601 dates, decimal close prices, and empty fields for missing
 values. Anything non-numeric in a price cell is a hard parse error;
 that includes what ``float`` would also read, such as ``1_000`` or
-non-ASCII digits. Rows are parsed in blocks of about ``_PARSE_CELLS``
-price cells: each block's cells become one float array, checked with
-array operations, and only a block that fails a check is walked row by
-row, to report its first bad cell with the row number.
+non-ASCII digits: a cell is read by :mod:`~portlab.numtext`'s rule.
+Rows are parsed in blocks of about ``_PARSE_CELLS`` price cells: each
+block's cells become one float array, checked with array operations,
+and only a block that fails a check is walked row by row, to report its
+first bad cell with the row number.
 
 The ``csv`` module's default field limit of 131,072 characters stays:
 no price or ticker comes near it. A longer cell, like any other text
@@ -35,6 +36,7 @@ from .errors import (
     SplitError,
     UnfillableError,
 )
+from .numtext import is_plain, read_float
 
 # price cells parsed per block: one block's cells are held as strings at a time
 _PARSE_CELLS = 1 << 12
@@ -145,10 +147,10 @@ def _parse_block(
 
     Each cell is stripped, an empty one standing for NaN, and the block's
     cells are converted by one ``np.array(..., dtype=float)`` call, then
-    checked with array operations. ``float`` also takes ``_`` and
-    non-ASCII digits, so a block whose text holds either goes to
-    :func:`_parse_rows`, as does any other defect: there the first bad
-    cell gets its message and row number.
+    checked with array operations. A block whose text is not plain
+    (:func:`~portlab.numtext.is_plain`) goes to :func:`_parse_rows`, as
+    does any other defect: there the first bad cell gets its message and
+    row number.
     """
     rows = [row for row in block if row]
     if any(len(row) != n_assets + 1 for row in rows):
@@ -156,8 +158,7 @@ def _parse_block(
     try:
         dates = [date.fromisoformat(row[0].strip()) for row in rows]
         cells = [cell.strip() or "nan" for row in rows for cell in row[1:]]
-        text = "".join(cells)
-        if not text.isascii() or "_" in text:
+        if not is_plain("".join(cells)):
             return None
         closes = np.array(cells, dtype=float).reshape(len(rows), n_assets)
     except ValueError:
@@ -201,10 +202,7 @@ def _parse_rows(
                 cells.append(math.nan)
                 continue
             try:
-                # float() also reads "1_000" and non-ASCII digits; a price may not
-                if not cell.isascii() or "_" in cell:
-                    raise ValueError(cell)
-                value = float(cell)
+                value = read_float(cell)
             except ValueError:
                 raise PriceParseError(
                     f"{path}: row {lineno}: non-numeric price {cell!r} for {ticker}"

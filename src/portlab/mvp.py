@@ -38,8 +38,6 @@ VOLATILITY, RETURN, SHARPE, FIRST_WEIGHT = 0, 1, 2, 3
 
 def equal_weight(n: int) -> np.ndarray:
     """1/n in each of the n assets."""
-    if n < 1:
-        raise ValueError("need at least one asset")
     return np.full(n, 1.0 / n)
 
 
@@ -61,13 +59,7 @@ def sample_portfolios(
     :class:`UndefinedSharpeError` for a zero volatility and
     :class:`NonFiniteError` if a volatility or Sharpe ratio overflows float64.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    mu = np.asarray(mu, dtype=float)
     n = mu.shape[0]
-    if cov.shape != (n, n):
-        raise ValueError("mu and covariance dimensions do not match")
-
     # the cloud first: a count beyond memory fails here at once, before
     # a child stream is spawned for each of its chunks
     cloud = np.empty((count, FIRST_WEIGHT + n))

@@ -21,7 +21,6 @@ storing the feature vectors themselves. The training log is one
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,8 +60,6 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, table: FeatureTable):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._table = table
         self._windows = np.empty((capacity, 2), dtype=np.intp)
@@ -80,8 +77,6 @@ class ReplayBuffer:
         next_state: EnvState,
         done: bool,
     ) -> None:
-        if not math.isfinite(reward):
-            raise ValueError("reward must be finite")
         slot = self._pushes % self.capacity
         self._windows[slot, 0] = self._table.row(state.t)
         self._windows[slot, 1] = self._table.row(next_state.t)

@@ -18,16 +18,18 @@ costs a few calls instead of one per window. A state holds only its
 weights and ``t``: :func:`state_features` reads the features at ``t``
 from the table.
 
-Each check sits with the data it guards: a :class:`FeatureTable` checks
-that the table is longer than ``window + rebalance_period`` and the
-[-1, 1] range of all its rows once, when built; every :class:`EnvState`
-checks that its weights lie on the simplex; and :func:`env_step` checks
-that the reward it computes is finite. Nothing re-checks what these
-establish: an action comes from a network with :func:`num_actions`
-outputs (``train`` builds it, and ``rl-eval`` checks the dimensions of a
-loaded one), so :func:`apply_action` takes it as valid, and the table's
-length check with ``done`` stops every rollout before a step could run
-past the last row.
+Outside input is checked where it enters, and a rollout's own arithmetic
+keeps the rest: a :class:`FeatureTable` checks that the table is longer
+than ``window + rebalance_period``, and :func:`env_step` that the reward
+it computes is finite. The features lie in [-1, 1] because
+``correlation_values`` clips them. The weights stay on the simplex
+because :func:`apply_action` keeps the one weight it changes >= 0 and
+divides by a sum that ``step_delta < 1`` keeps positive. An action comes
+from a network with :func:`num_actions` outputs (``train`` builds it,
+and ``rl-eval`` checks the dimensions of a loaded one), and every ``t`` a
+rollout visits is ``window + k * rebalance_period``, with ``done``
+stopping it before a step could run past the last row, so nothing
+re-checks either.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..analytics import ReturnTable, annualize, correlation_values, on_simplex
+from ..analytics import ReturnTable, annualize, correlation_values
 from ..errors import InsufficientDataError, NonFiniteError
 from .params import Hyperparams
 
@@ -68,12 +70,6 @@ class EnvState:
 
     weights: np.ndarray
     t: int
-
-    def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=float)
-        if not on_simplex(weights):
-            raise ValueError("weights must lie on the simplex")
-        object.__setattr__(self, "weights", weights)
 
 
 def state_features(state: EnvState, table: FeatureTable) -> np.ndarray:
@@ -106,8 +102,7 @@ class FeatureTable:
     ``correlation_values`` as ``(B, window, N)`` stacks of up to
     ``_BLOCK_CELLS // (N * (window + N))`` windows, so each call's
     temporaries stay bounded whatever the table's length and asset count.
-    All rows are checked to lie in [-1, 1] once, when the table is built;
-    a window whose covariance overflows raises :class:`NonFiniteError`
+    A window whose covariance overflows raises :class:`NonFiniteError`
     naming its dates.
     """
 
@@ -137,9 +132,6 @@ class FeatureTable:
                     self._check_window(windows[k], k)
                 raise
             self.values[first : first + stack.shape[0]] = corr[:, iu[0], iu[1]]
-        # written so that NaN fails
-        if not (np.all(self.values >= -1.0) and np.all(self.values <= 1.0)):
-            raise ValueError("correlation features must lie in [-1, 1]")
 
     def _check_window(self, window: np.ndarray, k: int) -> None:
         """Raise :class:`NonFiniteError` naming window ``k``'s dates if its covariance overflows."""
@@ -154,10 +146,7 @@ class FeatureTable:
 
     def row(self, t: int) -> int:
         """Row ``k`` of ``values``: the window ending just before time index ``t``."""
-        k, off = divmod(t - self.window, self.period)
-        if off or not 0 <= k < self.values.shape[0]:
-            raise ValueError(f"t={t} is not a time index this table covers")
-        return k
+        return (t - self.window) // self.period
 
     def at(self, t: int) -> np.ndarray:
         """Features of the window ending just before row ``t``."""

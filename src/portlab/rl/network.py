@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import DivergenceError, ModelFormatError
 from ..floatcsv import write_float_csv
+from ..numtext import read_float, read_int
 from .env import feature_dim, num_actions
 from .params import Hyperparams
 
@@ -186,7 +187,7 @@ def load_qnetwork(path: str | Path) -> QNetwork:
     """Inverse of :func:`save_qnetwork`; exact round-trip of parameters.
 
     Raises :class:`ModelFormatError` when the file is not a complete,
-    well-formed saved network.
+    well-formed saved network; its numbers follow :mod:`~portlab.numtext`'s rule.
     """
     try:
         text = Path(path).read_text(encoding="utf-8").splitlines()
@@ -195,10 +196,10 @@ def load_qnetwork(path: str | Path) -> QNetwork:
     if not text or not text[0].startswith("qnetwork "):
         raise ModelFormatError(f"{path}: not a saved q-network")
     try:
-        dims = [int(tok) for tok in text[0].split()[1:]]
+        dims = [read_int(tok) for tok in text[0].split()[1:]]
     except ValueError:
         raise ModelFormatError(f"{path}: bad layer dims in header {text[0]!r}") from None
     try:
-        return QNetwork(dims, np.array([float(v) for v in text[1:]]))
+        return QNetwork(dims, np.array([read_float(v) for v in text[1:]]))
     except ValueError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None

@@ -11,12 +11,17 @@
 * a tabular Q-learning check: the same backup applied to a lookup table
   on a tiny solvable MDP must converge to the value-iteration fixed point;
 * :func:`read_training_log`, the inverse of
-  :func:`portlab.rl.agent.write_training_log`.
+  :func:`portlab.rl.agent.write_training_log`;
+* the post-conditions the code's arithmetic guarantees, as assertion
+  helpers: :func:`on_simplex` for weight rows, :func:`checked_covariance`,
+  :func:`checked_correlation` and :func:`checked_linkage` for what
+  :mod:`portlab.analytics` and :func:`portlab.hrp.single_linkage` return.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,3 +198,74 @@ def read_training_log(path: str | Path) -> np.ndarray:
     if [int(r[0]) for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: episodes are not numbered 0, 1, ...")
     return np.array([[float(c) for c in r[1:]] for r in rows]).reshape(len(rows), 3)
+
+
+SIMPLEX_TOL = 1e-9
+
+
+def on_simplex(weights: np.ndarray) -> bool:
+    """Whether each row (last axis) is >= 0 and sums to 1 within ``SIMPLEX_TOL``; NaN fails."""
+    low = np.minimum.reduce(weights, None)
+    deviation = np.maximum.reduce(abs(np.add.reduce(weights, -1) - 1.0), None)
+    return bool(low >= 0.0 and deviation <= SIMPLEX_TOL)
+
+
+def square_matrix(values: np.ndarray, label: str) -> np.ndarray:
+    """``values`` as a float array, asserted n x n, finite and symmetric within 1e-12."""
+    values = np.asarray(values, dtype=float)
+    assert values.ndim == 2 and values.shape[0] == values.shape[1], (
+        f"{label} matrix must be square, got shape {values.shape}"
+    )
+    assert np.all(np.isfinite(values)), f"{label} entries must be finite"
+    assert np.max(np.abs(values - values.T), initial=0.0) <= 1e-12, (
+        f"{label} matrix must be symmetric within 1e-12"
+    )
+    return values
+
+
+def checked_covariance(values: np.ndarray) -> np.ndarray:
+    """``values`` asserted a covariance: square, symmetric, PSD, diagonal >= 0."""
+    values = square_matrix(values, "covariance")
+    assert np.all(np.diag(values) >= 0), "covariance diagonal must be non-negative"
+    # rounding leaves eigenvalues of a singular matrix about eps * scale below 0
+    scale = max(1.0, float(np.max(np.diag(values), initial=0.0)))
+    assert np.linalg.eigvalsh(values).min() >= -1e-9 * scale, (
+        "covariance matrix must be positive semidefinite"
+    )
+    return values
+
+
+def checked_correlation(values: np.ndarray) -> np.ndarray:
+    """``values`` asserted a correlation: square, symmetric, unit diagonal, in [-1, 1]."""
+    values = square_matrix(values, "correlation")
+    assert np.all(np.diag(values) == 1.0), "correlation diagonal must be exactly 1"
+    assert np.all((values >= -1.0) & (values <= 1.0)), "correlation entries must lie in [-1, 1]"
+    return values
+
+
+def checked_linkage(tree: np.ndarray, n_leaves: int) -> np.ndarray:
+    """``tree`` asserted the merges of ``n_leaves`` leaves, in :mod:`portlab.hrp`'s layout.
+
+    Each child is a known node used once, each size is the sum of its
+    children's sizes, and the distances are finite and non-decreasing.
+    """
+    tree = np.asarray(tree, dtype=float)
+    assert tree.shape == (n_leaves - 1, 4), (
+        f"expected {n_leaves - 1} merges, got shape {tree.shape}"
+    )
+    seen: set[float] = set()
+    sizes = {i: 1 for i in range(n_leaves)}
+    prev = -math.inf
+    for step, (left, right, distance, size) in enumerate(tree.tolist()):
+        for child in (left, right):
+            assert child in sizes, f"merge {step} references unknown node {child:g}"
+            assert child not in seen, f"node {child:g} used as a child twice"
+            seen.add(child)
+        assert size == sizes[left] + sizes[right], (
+            f"merge {step} size {size:g} inconsistent with children"
+        )
+        assert math.isfinite(distance), f"merge {step} distance {distance} is not finite"
+        assert distance >= prev - 1e-12, "merge distances must be non-decreasing"
+        prev = distance
+        sizes[n_leaves + step] = size
+    return tree

@@ -97,17 +97,6 @@ def test_report_curve_must_align_with_its_dates_and_be_finite(curve, message):
         _report(curve=curve)
 
 
-@pytest.mark.parametrize(
-    "row", [[0.5, 0.6], [np.nan, 1.0], [1.5, -0.5]], ids=["off-simplex", "nan", "negative"]
-)
-def test_schedule_rejects_rows_off_the_simplex(row):
-    # as the one row held on every date, and as one row of a per-date schedule
-    returns = make_returns([[0.01, 0.02], [0.0, -0.01]])
-    for weights in (np.array(row), np.array([[0.5, 0.5], row])):
-        with pytest.raises(ValueError, match="simplex"):
-            run_backtest(weights, returns, 0.01, 252, method="RL", phase="test", dataset="d")
-
-
 @pytest.mark.filterwarnings("error")
 def test_overflowing_risk_raises_non_finite_error():
     # every daily return and the curve are finite, but squared deviations overflow

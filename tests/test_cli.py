@@ -70,8 +70,21 @@ def _rl_eval(config, out, capsys) -> tuple[int, list[str]]:
 
 @pytest.mark.parametrize(
     "mangle",
-    [lambda lines: lines[:-3], lambda lines: ["qnetwork 55 eight 21"] + lines[1:]],
-    ids=["truncated", "garbage-header"],
+    [
+        lambda lines: lines[:-3],
+        lambda lines: ["qnetwork 55 eight 21"] + lines[1:],
+        # int() and float() read these as 55, 3.0 and 0.15
+        lambda lines: ["qnetwork \u0665\u0665 8 21"] + lines[1:],
+        lambda lines: lines[:5] + ["\u0663"] + lines[6:],
+        lambda lines: lines[:5] + ["0.1_5"] + lines[6:],
+    ],
+    ids=[
+        "truncated",
+        "garbage-header",
+        "arabic-indic-dims",
+        "arabic-indic-parameter",
+        "underscore-parameter",
+    ],
 )
 def test_rl_eval_reports_malformed_model(run_dir, capsys, mangle):
     config, out = run_dir
@@ -354,6 +367,13 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         ("rl-train", "rl.seed = -1\n", None, ": rl.seed must be >= 0, got -1"),
         ("mvp", "", "-1", "PLAB_SEED: seed must be >= 0, got -1"),
         ("mvp", "", "x1", "PLAB_SEED must be an integer, got 'x1'"),
+        # int() reads these as 7, and the config values below as 200, (8, 3) and 0.001
+        ("mvp", "", "\u0667", "PLAB_SEED must be an integer, got '\u0667'"),
+        ("mvp", "", " +7 ", "PLAB_SEED must be an integer, got ' +7 '"),
+        ("mvp", "mc_samples = \u0662\u0660\u0660\n", None, "for key 'mc_samples'"),
+        ("mvp", "mc_samples = 2_00\n", None, "bad value '2_00' for key 'mc_samples'"),
+        ("rl-train", "rl.hidden_dims = 8, \u0663\n", None, "for key 'rl.hidden_dims'"),
+        ("rl-train", "rl.learning_rate = 0.00_1\n", None, "for key 'rl.learning_rate'"),
         ("rl-train", "rl.learning_rate = nan\n", None, "rl.learning_rate must be finite"),
         ("rl-train", "rl.learning_rate = inf\n", None, "rl.learning_rate must be finite"),
         (
@@ -387,6 +407,12 @@ def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, ke
         "negative-rl-seed",
         "negative-PLAB_SEED",
         "non-integer-PLAB_SEED",
+        "arabic-indic-PLAB_SEED",
+        "padded-PLAB_SEED",
+        "arabic-indic-mc-samples",
+        "underscore-mc-samples",
+        "arabic-indic-hidden-dims",
+        "underscore-learning-rate",
         "nan-learning-rate",
         "inf-learning-rate",
         "batch-above-capacity",

@@ -16,8 +16,8 @@ from datetime import date
 import numpy as np
 import pytest
 
+from oracles import checked_covariance
 from portlab import floatcsv, mvp
-from portlab.analytics import checked_covariance
 from portlab.rl.agent import write_training_log
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams

@@ -39,12 +39,9 @@ _POOL = [
     "\uff17".encode(),  # FULLWIDTH DIGIT SEVEN
     b"x" * _RUN,
 ]
-# digits change the numbers in a file; int() and float() read the
-# non-ASCII ones above as digits too
+# ASCII digits change the numbers in a file; the non-ASCII ones above are
+# no digit to any reader, which refuses them
 _NUMBER_POOL = _POOL + [b"0", b"5", b"9", b"9" * _RUN]
-# a config's numbers are work to do: one inserted digit turns mc_samples = 200
-# into 2,000, so the config draws no digit of either kind
-_CONFIG_POOL = [item for item in _POOL if not item.decode().isdigit()]
 
 _N_ASSETS = 3
 _TABLE = synthetic.drift_price_table(n_assets=_N_ASSETS, n_days=24)
@@ -102,7 +99,9 @@ def _first_lines(data: bytes, lines: int | None) -> int:
     ("command", "name", "pool", "lines"),
     [
         ("hrp", "prices.csv", _NUMBER_POOL, 4),
-        ("mvp", "run.cfg", _CONFIG_POOL, None),
+        # a config's numbers are work to do: one inserted ASCII digit turns
+        # mc_samples = 200 into 2,000, so the config draws none
+        ("mvp", "run.cfg", _POOL, None),
         ("compare", "report_MVP_test.json", _NUMBER_POOL, None),
         ("rl-eval", "rl_model.txt", _NUMBER_POOL, None),
     ],
