@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from .errors import NonFiniteError, PortlabError, ReportFormatError
 from .jsonfile import write_json
+from .numtext import read_dates
 
 if TYPE_CHECKING:
     import numpy as np
@@ -184,7 +185,7 @@ def read_report(path: str | Path) -> BacktestReport:
             annual_risk=payload["risk"],
             risk_free=payload["risk_free"],
             sharpe=payload["sharpe"],
-            dates=tuple(date.fromisoformat(d) for d, _ in payload["curve"]),
+            dates=tuple(read_dates([d for d, _ in payload["curve"]])),
             curve=[v for _, v in payload["curve"]],
         )
     except KeyError as exc:

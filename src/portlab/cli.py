@@ -20,6 +20,17 @@ through this module's globals: ``load_prices``, ``train``, ``evaluate``,
 ``save_qnetwork`` and ``load_qnetwork``. The benchmark's tracer
 (perfbench/tracer.py) wraps them here, in this namespace, so each is a
 stand-in that imports its module on the first call.
+
+A command runs OpenBLAS on one thread. The worker thread that numpy's
+OpenBLAS otherwise starts busy-waits beside the main thread, and on a
+busy host that costs every command more than its parallel products
+gain. So before anything imports numpy, this module sets
+``OPENBLAS_NUM_THREADS=1``, unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is already set: a user's own
+thread setting wins. The demo outputs are the same bytes under one and
+two threads. The cap holds where this module loads before numpy, as
+under ``python -m portlab.cli`` and the ``portlab`` script; where numpy
+is loaded already, its thread pool stays as it is.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
+
+# OpenBLAS reads its thread count when numpy loads it: cap it first
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .config import RunConfig, load_config, with_seed
 from .errors import ConfigError, ModelFormatError, PortlabError

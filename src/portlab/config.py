@@ -2,7 +2,7 @@
 
 The keys are the fields of :class:`RunConfig` and, prefixed ``rl.``,
 those of the agent's :class:`Hyperparams`; each value is parsed by its
-field's annotated type, a number by :mod:`~portlab.numtext`'s rule.
+field's annotated type, a number or a date by :mod:`~portlab.numtext`'s rule.
 Blank lines and ``#`` comments are ignored. Absent keys take their
 field's default; a field without one is a required key. ``rl.seed``
 defaults to the top-level seed so one value pins the whole run.
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
 from .errors import ConfigError
-from .numtext import read_float, read_int
+from .numtext import read_date, read_float, read_int
 from .rl.params import Hyperparams
 
 
@@ -63,7 +63,7 @@ _PARSERS: dict[Any, Callable[[str], Any]] = {
     int: read_int,
     float: read_float,
     Path: _parse_path,
-    date: date.fromisoformat,
+    date: read_date,
     tuple[int, ...]: _parse_dims,
 }
 

@@ -1,7 +1,7 @@
 """Close-price table loading, cleaning, and train/test splitting.
 
 The file format is a plain CSV with header ``date,TICK1,TICK2,...``,
-ISO-8601 dates, decimal close prices, and empty fields for missing
+``YYYY-MM-DD`` dates, decimal close prices, and empty fields for missing
 values. Anything non-numeric in a price cell is a hard parse error;
 that includes what ``float`` would also read, such as ``1_000`` or
 non-ASCII digits: a cell is read by :mod:`~portlab.numtext`'s rule.
@@ -36,7 +36,7 @@ from .errors import (
     SplitError,
     UnfillableError,
 )
-from .numtext import is_plain, read_float
+from .numtext import is_plain, read_date, read_dates, read_float
 
 # price cells parsed per block: one block's cells are held as strings at a time
 _PARSE_CELLS = 1 << 12
@@ -156,7 +156,7 @@ def _parse_block(
     if any(len(row) != n_assets + 1 for row in rows):
         return None
     try:
-        dates = [date.fromisoformat(row[0].strip()) for row in rows]
+        dates = read_dates([row[0].strip() for row in rows])
         cells = [cell.strip() or "nan" for row in rows for cell in row[1:]]
         if not is_plain("".join(cells)):
             return None
@@ -189,7 +189,7 @@ def _parse_rows(
                 f"{path}: row {lineno}: expected {len(tickers) + 1} cells, got {len(row)}"
             )
         try:
-            d = date.fromisoformat(row[0].strip())
+            d = read_date(row[0].strip())
         except ValueError:
             raise PriceParseError(f"{path}: row {lineno}: malformed date {row[0]!r}") from None
         previous = dates[-1] if dates else last

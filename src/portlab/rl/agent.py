@@ -9,13 +9,13 @@ Transitions live in preallocated arrays inside :class:`ReplayBuffer`.
 A state's correlation features are row ``k`` of the feature table, so a
 slot stores the state's and next state's rows ``k`` and ``k_next`` and
 their two weight vectors, plus action, reward and done: O(capacity x N)
-floats rather than O(capacity x N^2). A sample gathers the drawn slots'
-feature rows and weights into one ``(batch, 2 * state_dim)`` array,
-each row the state's network input followed by the next state's, and
-hands the two halves to the network as views, inside a
-:class:`ReplayBatch`: the same float64 values in the same layout as
-storing the feature vectors themselves. The training log is one
-``(episodes, 3)`` array, a row per episode, that
+floats rather than O(capacity x N^2). The stores keep the state's and
+the next state's entries apart, ``(2, capacity)`` window rows and
+``(2, capacity, N)`` weights, so a sample gathers one C-contiguous
+``(2, batch, state_dim)`` array: the states, then the next states, the
+same float64 values as storing the feature vectors themselves. It is
+the input of the learning step's one forward pass (see :mod:`~.network`).
+The training log is one ``(episodes, 3)`` array, a row per episode, that
 :func:`write_training_log` writes as ``rl_training_log.csv``.
 """
 
@@ -30,7 +30,14 @@ from ..analytics import ReturnTable
 from ..errors import DivergenceError
 from ..floatcsv import write_float_csv
 from .env import EnvState, FeatureTable, env_reset, env_step, state_features
-from .network import QNetwork, qnet_forward, qnet_init, qnet_train_step, td_targets
+from .network import (
+    QNetwork,
+    qnet_forward,
+    qnet_init,
+    qnet_layers,
+    qnet_train_step,
+    td_targets,
+)
 from .params import Hyperparams
 
 # columns of the training log that train returns
@@ -38,19 +45,30 @@ LOG_COLUMNS = ("cum_reward", "mean_loss", "epsilon")
 
 
 class ReplayBatch(NamedTuple):
-    """Sampled transitions, one row per draw."""
+    """Sampled transitions, one row per draw.
 
-    states: np.ndarray  # (batch, feature_dim) float
+    ``inputs`` stacks the states over the next states; ``states`` and
+    ``next_states`` are its two contiguous halves.
+    """
+
+    inputs: np.ndarray  # (2, batch, feature_dim) float
     actions: np.ndarray  # (batch,) int
     rewards: np.ndarray  # (batch,) float
-    next_states: np.ndarray  # (batch, feature_dim) float
     dones: np.ndarray  # (batch,) bool
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.inputs[0]
+
+    @property
+    def next_states(self) -> np.ndarray:
+        return self.inputs[1]
 
 
 class ReplayBuffer:
     """Bounded transition store with ring semantics: oldest evicted first.
 
-    Transitions are kept in preallocated arrays, one row per slot; push
+    Transitions are kept in preallocated arrays indexed by slot; push
     number ``p`` (from 0) writes slot ``p % capacity``. A slot holds its
     state's and next state's :class:`~.env.FeatureTable` rows ``k`` and
     ``k_next`` and their two weight vectors, not their feature vectors,
@@ -62,8 +80,9 @@ class ReplayBuffer:
     def __init__(self, capacity: int, table: FeatureTable):
         self.capacity = capacity
         self._table = table
-        self._windows = np.empty((capacity, 2), dtype=np.intp)
-        self._weights = np.empty((capacity, 2, table.returns.n_assets))
+        # index 0 holds the state's entry, index 1 the next state's
+        self._windows = np.empty((2, capacity), dtype=np.intp)
+        self._weights = np.empty((2, capacity, table.returns.n_assets))
         self._actions = np.empty(capacity, dtype=int)
         self._rewards = np.empty(capacity)
         self._dones = np.empty(capacity, dtype=bool)
@@ -78,10 +97,10 @@ class ReplayBuffer:
         done: bool,
     ) -> None:
         slot = self._pushes % self.capacity
-        self._windows[slot, 0] = self._table.row(state.t)
-        self._windows[slot, 1] = self._table.row(next_state.t)
-        self._weights[slot, 0] = state.weights
-        self._weights[slot, 1] = next_state.weights
+        self._windows[0, slot] = self._table.row(state.t)
+        self._windows[1, slot] = self._table.row(next_state.t)
+        self._weights[0, slot] = state.weights
+        self._weights[1, slot] = next_state.weights
         self._actions[slot] = action
         self._rewards[slot] = reward
         self._dones[slot] = done
@@ -94,20 +113,16 @@ class ReplayBuffer:
         """Uniform sample with replacement.
 
         Gathers the drawn slots' feature rows and weights into one
-        ``(batch_size, 2 * state_dim)`` array, each row the state's
-        features and weights followed by the next state's; ``states`` and
-        ``next_states`` are views into its two halves.
+        ``(2, batch_size, state_dim)`` array, the batch's ``inputs``: the
+        states' features and weights over the next states'.
         """
         idx = rng.integers(0, len(self), size=batch_size)
-        features = self._table.values.take(self._windows.take(idx, axis=0), axis=0)
-        pairs = np.concatenate((features, self._weights.take(idx, axis=0)), axis=2)
-        pairs = pairs.reshape(batch_size, -1)
-        half = pairs.shape[1] // 2
+        features = self._table.values.take(self._windows.take(idx, axis=1), axis=0)
+        pairs = np.concatenate((features, self._weights.take(idx, axis=1)), axis=2)
         return ReplayBatch(
-            pairs[:, :half],
+            pairs,
             self._actions[idx],
             self._rewards[idx],
-            pairs[:, half:],
             self._dones[idx],
         )
 
@@ -144,6 +159,7 @@ def train(
     buffer = ReplayBuffer(hp.replay_capacity, table)
     eps = hp.eps_start
     log = np.empty((hp.episodes, len(LOG_COLUMNS)))
+    rows = np.arange(hp.batch_size)
     global_step = 0
 
     # A diverging network overflows before its loss turns non-finite;
@@ -163,9 +179,7 @@ def train(
                 cum_reward += reward
                 if len(buffer) >= hp.batch_size:
                     batch = buffer.sample(rng, hp.batch_size)
-                    targets = td_targets(batch, net, hp.discount)
-                    loss = qnet_train_step(net, batch, targets, hp.learning_rate, global_step)
-                    losses.append(loss)
+                    losses.append(learn_step(net, batch, rows, hp, global_step))
                 state = next_state
                 global_step += 1
             mean_loss = float(np.mean(losses)) if losses else 0.0
@@ -177,6 +191,20 @@ def train(
     if not np.all(np.isfinite(net.params)):
         raise DivergenceError(f"non-finite network parameters after step {global_step - 1}")
     return net, log
+
+
+def learn_step(
+    net: QNetwork, batch: ReplayBatch, rows: np.ndarray, hp: Hyperparams, step: int
+) -> float:
+    """One gradient step on ``batch``; returns the pre-update loss.
+
+    One forward pass over the states and next states together; the TD
+    targets read the next-state half, the update the state half.
+    ``rows`` is ``np.arange(len(batch.actions))``, built once by the caller.
+    """
+    layers = qnet_layers(net, batch.inputs)
+    targets = td_targets(batch, layers[-1][1], hp.discount)
+    return qnet_train_step(net, layers, (rows, batch.actions), targets, hp.learning_rate, step)
 
 
 def evaluate(

@@ -16,6 +16,16 @@ training step updates every parameter with one in-place
 ``params -= learning_rate * grad``. Each layer computes
 ``a @ w``, adds the bias and rectifies in place: the same float
 operations in the same order as ``max(a @ w + b, 0)``.
+
+A learning step runs one forward pass, :func:`qnet_layers`, over the
+batch's states and next states stacked into one ``(2, batch, inputs)``
+array. :func:`td_targets` reads the next-state half of its output and
+:func:`qnet_train_step` backpropagates through the state half of every
+layer. numpy's matmul multiplies a stack one ``(batch, inputs)`` matrix
+at a time, so each half meets the BLAS call that a pass of its own would
+make, and gets the same bits. Two halves read as one ``(2 * batch,
+inputs)`` matrix would not: where the batch size is not a multiple of
+the BLAS kernel's row block, a row's rounding follows the rows around it.
 """
 
 from __future__ import annotations
@@ -105,7 +115,10 @@ def qnet_forward(net: QNetwork, features: np.ndarray) -> np.ndarray:
 def _forward_batch(
     net: QNetwork, x: np.ndarray, hidden: list[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Output rows for the input rows ``x``; appends each hidden activation to ``hidden``."""
+    """Output rows for the input rows ``x``; appends each hidden activation to ``hidden``.
+
+    ``x`` is ``(rows, n_inputs)`` or a stack of such matrices.
+    """
     a = x
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         a = a @ w
@@ -118,13 +131,23 @@ def _forward_batch(
     return a
 
 
-def td_targets(batch: ReplayBatch, net: QNetwork, discount: float) -> np.ndarray:
-    """TD target per batch row, bootstrapping from ``net`` on the next states.
+def qnet_layers(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activations for the input rows ``x``: ``x``, each hidden layer, the outputs.
+
+    ``x`` is ``(rows, n_inputs)`` or a stack of such matrices.
+    """
+    layers = [x]
+    layers.append(_forward_batch(net, x, layers))
+    return layers
+
+
+def td_targets(batch: ReplayBatch, next_q: np.ndarray, discount: float) -> np.ndarray:
+    """TD target per batch row, bootstrapping from ``next_q``, the next states' Q-values.
 
     The Bellman backup ``reward + discount * max_a' Q(next_state, a')``;
     done rows bootstrap nothing and take the reward alone.
     """
-    bootstrap = np.maximum.reduce(_forward_batch(net, batch.next_states), axis=1)
+    bootstrap = np.maximum.reduce(next_q, axis=1)
     bootstrap *= discount
     bootstrap += batch.rewards
     np.copyto(bootstrap, batch.rewards, where=batch.dones)
@@ -133,18 +156,21 @@ def td_targets(batch: ReplayBatch, net: QNetwork, discount: float) -> np.ndarray
 
 def qnet_train_step(
     net: QNetwork,
-    batch: ReplayBatch,
+    layers: list[np.ndarray],
+    taken: tuple[np.ndarray, np.ndarray],
     targets: np.ndarray,
     learning_rate: float,
     step: int,
 ) -> float:
     """One gradient-descent update toward the targets; returns the pre-update loss.
 
-    Reads the batch's ``states`` and ``actions`` arrays; ``targets`` has
-    one entry per batch row. ``step`` numbers the update in the error
-    raised for a non-finite loss.
+    ``layers`` is :func:`qnet_layers`' pass over a batch's ``(2, batch,
+    n_inputs)`` stack, the states first; the update reads the states'
+    half. ``taken`` indexes each state's taken action, ``(rows,
+    actions)``, and ``targets`` holds one entry per state. ``step``
+    numbers the update in the error raised for a non-finite loss.
     """
-    loss = _backprop(net, batch.states, batch.actions, np.asarray(targets, float))
+    loss = _backprop(net, [a[0] for a in layers], taken, targets)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss at step {step}")
     grad = net._grad
@@ -153,27 +179,33 @@ def qnet_train_step(
     return loss
 
 
-def _backprop(net: QNetwork, x: np.ndarray, actions: np.ndarray, targets: np.ndarray) -> float:
-    """Write the loss gradients into the net's gradient vector; return the loss."""
-    batch_size = x.shape[0]
-    activations = [x]
-    out = _forward_batch(net, x, activations)
-    rows = np.arange(batch_size)
-    err = out[rows, actions] - targets
+def _backprop(
+    net: QNetwork,
+    layers: list[np.ndarray],
+    taken: tuple[np.ndarray, np.ndarray],
+    targets: np.ndarray,
+) -> float:
+    """Write the loss gradients into the net's gradient vector; return the loss.
+
+    ``layers`` is a pass over ``(batch, n_inputs)`` rows, as
+    :func:`qnet_layers` returns it; its output layer is spent.
+    """
+    batch_size = targets.shape[0]
+    # the output activations are spent: reuse them as d(loss)/d(out)
+    delta = layers[-1]
+    err = delta[taken] - targets
     loss = float(np.add.reduce(err * err) / batch_size)
 
-    # the output activations are spent: reuse them as d(loss)/d(out)
-    delta = out
     delta.fill(0.0)
-    delta[rows, actions] = 2.0 * err / batch_size
+    delta[taken] = 2.0 * err / batch_size
     for i in range(len(net.weights) - 1, -1, -1):
-        np.matmul(activations[i].T, delta, out=net._grad_w[i])
+        np.matmul(layers[i].T, delta, out=net._grad_w[i])
         np.add.reduce(delta, axis=0, out=net._grad_b[i])
         if i > 0:
             # rectifier gate: the stored activation is max(z, 0), so its
             # positivity marks where gradient passes
             delta = delta @ net.weights[i].T
-            delta *= activations[i] > 0
+            delta *= layers[i] > 0
     return loss
 
 

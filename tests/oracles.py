@@ -8,6 +8,8 @@
 * :func:`loss_and_grads`, the network's loss and per-layer gradients in
   fresh arrays, which the finite-difference check and the reference
   training loop read;
+* :func:`two_pass_step`, the learning step with one forward pass per
+  half of the batch, which :func:`portlab.rl.agent.learn_step` does in one;
 * a tabular Q-learning check: the same backup applied to a lookup table
   on a tiny solvable MDP must converge to the value-iteration fixed point;
 * :func:`read_training_log`, the inverse of
@@ -27,7 +29,15 @@ from pathlib import Path
 
 import numpy as np
 
-from portlab.rl.network import QNetwork, _backprop, _layer_views
+from portlab.rl.agent import ReplayBatch
+from portlab.rl.network import (
+    QNetwork,
+    _backprop,
+    _forward_batch,
+    _layer_views,
+    qnet_layers,
+    td_targets,
+)
 
 
 class SingularMatrixError(Exception):
@@ -115,9 +125,27 @@ def loss_and_grads(
     The gradients are copied out of the net's own gradient vector into
     fresh arrays, so the next backward pass does not overwrite them.
     """
-    loss = _backprop(net, x, actions, targets)
+    loss = _backprop(net, qnet_layers(net, x), (np.arange(x.shape[0]), actions), targets)
     grad_w, grad_b = _layer_views(net._grad.copy(), net.layer_dims)
     return loss, grad_w, grad_b
+
+
+def two_pass_step(
+    net: QNetwork, batch: ReplayBatch, discount: float, learning_rate: float
+) -> float:
+    """One gradient step as two forward passes; returns the pre-update loss.
+
+    The next states go through the network alone for the TD targets, then
+    the states alone for the loss and its gradients. Leaves the net's
+    gradient vector scaled by ``learning_rate``, as the training step does.
+    """
+    targets = td_targets(batch, _forward_batch(net, batch.next_states), discount)
+    layers = [batch.states]
+    layers.append(_forward_batch(net, batch.states, layers))
+    loss = _backprop(net, layers, (np.arange(targets.shape[0]), batch.actions), targets)
+    net._grad *= learning_rate
+    net.params -= net._grad
+    return loss
 
 
 @dataclass(frozen=True)

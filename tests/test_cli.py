@@ -177,6 +177,11 @@ def _edit_report(**fields):
         ),
         (_edit_report(risk=True, sharpe=0.1), "annual_risk must be a finite number"),
         (_edit_report(phase="dev"), "phase must be train or test, got 'dev'"),
+        # date.fromisoformat reads this basic form on Python 3.11, not on 3.10
+        (
+            _edit_report(curve=[["2019-01-01", 0.0], ["20190102", 0.0]]),
+            "not a YYYY-MM-DD date: '20190102'",
+        ),
     ],
     ids=[
         "truncated",
@@ -194,6 +199,7 @@ def _edit_report(**fields):
         "numeric-string-scalars",
         "bool-risk",
         "dev-phase",
+        "basic-form-curve-date",
     ],
 )
 def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
@@ -285,8 +291,20 @@ def _with_cell(line: int, column: int, cell: str):
             lambda lines: _with_cell(5, 2, "1.0x")(lines[:2] + [""] + lines[2:]),
             "row 5: non-numeric price '1.0x' for STK1",
         ),
+        # date.fromisoformat reads these two on Python 3.11 (as 2018-01-01 and
+        # 2018-01-02, the fixture's own dates), not on 3.10
+        (_with_cell(2, 0, "20180101"), "row 2: malformed date '20180101'"),
+        (_with_cell(3, 0, "2018-W01-2"), "row 3: malformed date '2018-W01-2'"),
     ],
-    ids=["long-ticker", "long-price", "empty", "two-rows", "empty-line-before-a-bad-cell"],
+    ids=[
+        "long-ticker",
+        "long-price",
+        "empty",
+        "two-rows",
+        "empty-line-before-a-bad-cell",
+        "basic-form-date",
+        "week-form-date",
+    ],
 )
 def test_bad_price_file_gives_one_line_error(tmp_path, fixture_csv, capsys, edit, message):
     prices = tmp_path / "prices.csv"
@@ -336,6 +354,24 @@ def _write_config(path, fixture_csv, extra: str = "") -> None:
         "test_start = 2019-05-06\n" + extra,
         encoding="utf-8",
     )
+
+
+# date.fromisoformat reads both on Python 3.11 (as 2019-05-03), not on 3.10
+@pytest.mark.parametrize("value", ["20190503", "2019-W18-5"], ids=["basic-form", "week-form"])
+def test_config_date_in_another_iso_form_gives_one_line_error(
+    tmp_path, fixture_csv, capsys, value
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"data = {fixture_csv}\ntrain_end = {value}\ntest_start = 2019-05-06\n",
+        encoding="utf-8",
+    )
+    code = cli.main(["hrp", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config}:2: bad value '{value}' for key 'train_end'"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -551,6 +587,39 @@ def test_mvp_and_hrp_load_no_module_of_the_agent(tmp_path, fixture_csv):
         assert _under("portlab.rl", modules) == ["portlab.rl", "portlab.rl.params"]
     # hrp needs neither the frontier sampler nor the CSV writer
     assert not {"portlab.mvp", "portlab.floatcsv"} & set(steps["hrp"][1])
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    ("preset", "seen"),
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1"}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2"}),
+        ({"GOTO_NUM_THREADS": "2"}, {"GOTO_NUM_THREADS": "2"}),
+        ({"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}),
+    ],
+    ids=["unset", "openblas-preset", "goto-preset", "omp-preset"],
+)
+def test_cli_caps_blas_threads_unless_a_count_is_set(preset, seen):
+    # OpenBLAS reads these variables when numpy loads it, so the CLI module
+    # must set its cap on import, before numpy, and leave a user's own alone
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = (
+        "import json, os, sys; import portlab.cli, numpy; "
+        "print(json.dumps({k: os.environ[k] for k in sys.argv[1:] if k in os.environ}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *_BLAS_THREAD_VARIABLES],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == seen
 
 
 def test_rl_train_refuses_to_save_a_model_that_overflowed(tmp_path, capsys):

@@ -258,10 +258,12 @@ def test_replay_buffer_ring_order_and_sampling():
     assert np.array_equal(batch.states, want)
     assert np.array_equal(batch.next_states, want_next)
     assert np.array_equal(batch.dones, pushed % 2 == 1)
-    # the network sees the two halves of one (batch, 2 * state_dim) array
-    dim = want.shape[1]
-    assert batch.states.strides == batch.next_states.strides == (2 * dim * 8, 8)
-    assert batch.states.base is batch.next_states.base is not None
+    # the network reads one C-contiguous (2, batch, state_dim) stack:
+    # the states over the next states, each half a contiguous view
+    assert np.array_equal(batch.inputs, np.stack([want, want_next]))
+    assert batch.inputs.flags.c_contiguous
+    assert batch.states.flags.c_contiguous and batch.next_states.flags.c_contiguous
+    assert batch.states.base is batch.next_states.base is batch.inputs
 
 
 def test_replay_buffer_memory_is_linear_in_assets():

@@ -1,18 +1,26 @@
-"""Q-network gradients, flat parameters, vectorized TD targets, file round-trips, tabular check."""
+"""Q-network gradients and parameters, TD targets, the one-pass step, round-trips, tabular check."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import loss_and_grads, read_training_log, tabular_q_check, td_target, two_state_chain
+from oracles import (
+    loss_and_grads,
+    read_training_log,
+    tabular_q_check,
+    td_target,
+    two_pass_step,
+    two_state_chain,
+)
 from portlab.errors import ModelFormatError
-from portlab.rl.agent import ReplayBatch, write_training_log
+from portlab.rl.agent import ReplayBatch, learn_step, write_training_log
 from portlab.rl.network import (
+    QNetwork,
     _forward_batch,
     load_qnetwork,
     qnet_init,
-    qnet_train_step,
     save_qnetwork,
     td_targets,
 )
@@ -25,6 +33,17 @@ def _net(n_assets=3, hidden=(6, 5), seed=4):
 
 def _loss(net, x, actions, targets) -> float:
     return loss_and_grads(net, x, actions, targets)[0]
+
+
+def _batch(rng, net, dones) -> ReplayBatch:
+    """Random states over random next states, one row per entry of ``dones``."""
+    n = len(dones)
+    return ReplayBatch(
+        inputs=rng.normal(size=(2, n, net.n_inputs)),
+        actions=rng.integers(0, net.n_outputs, size=n),
+        rewards=rng.normal(size=n),
+        dones=np.array(dones, dtype=bool),
+    )
 
 
 def test_loss_gradients_match_central_differences():
@@ -55,18 +74,12 @@ def test_loss_gradients_match_central_differences():
 def test_td_targets_equal_scalar_rule_row_by_row():
     rng = np.random.default_rng(1)
     net = _net()
-    batch = ReplayBatch(
-        states=rng.normal(size=(9, net.n_inputs)),
-        actions=rng.integers(0, net.n_outputs, size=9),
-        rewards=rng.normal(size=9),
-        next_states=rng.normal(size=(9, net.n_inputs)),
-        dones=np.array([False, True, False, False, True, True, False, True, False]),
-    )
+    batch = _batch(rng, net, [False, True, False, False, True, True, False, True, False])
     max_next = _forward_batch(net, batch.next_states).max(axis=1)
     want = [
         td_target(r, 0.9, m, d) for r, m, d in zip(batch.rewards, max_next, batch.dones)
     ]
-    got = td_targets(batch, net, 0.9)
+    got = td_targets(batch, _forward_batch(net, batch.next_states), 0.9)
     assert got.dtype == np.float64
     assert np.array_equal(got, np.array(want))
     assert np.array_equal(got[batch.dones], batch.rewards[batch.dones])
@@ -117,21 +130,50 @@ def test_train_step_equals_per_layer_update_bit_for_bit():
     rng = np.random.default_rng(6)
     net = _net()
     ref = _net()
-    batch = ReplayBatch(
-        states=rng.normal(size=(9, net.n_inputs)),
-        actions=rng.integers(0, net.n_outputs, size=9),
-        rewards=rng.normal(size=9),
-        next_states=rng.normal(size=(9, net.n_inputs)),
-        dones=np.zeros(9, dtype=bool),
-    )
+    hp = Hyperparams(hidden_dims=(6, 5), discount=0.9, learning_rate=0.01)
+    batch = _batch(rng, net, [False] * 9)
     for step in range(3):
-        targets = td_targets(batch, net, 0.9)
-        loss = qnet_train_step(net, batch, targets, 0.01, step)
+        targets = td_targets(batch, _forward_batch(ref, batch.next_states), 0.9)
+        loss = learn_step(net, batch, np.arange(9), hp, step)
         ref_loss, grad_w, grad_b = loss_and_grads(ref, batch.states, batch.actions, targets)
         for p, g in zip(ref.weights + ref.biases, grad_w + grad_b):
             p -= 0.01 * g
         assert loss == ref_loss
         assert np.array_equal(net.params, ref.params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+    n_assets=st.integers(2, 4),
+    batch_size=st.integers(1, 64),
+    slots=st.integers(1, 64),
+    done_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_pass_step_equals_two_pass_oracle(
+    hidden, n_assets, batch_size, slots, done_share, seed
+):
+    # a batch drawn with replacement from fewer slots than rows repeats
+    # transitions, as the replay buffer's uniform sample does
+    rng = np.random.default_rng(seed)
+    net = _net(n_assets=n_assets, hidden=tuple(hidden), seed=seed)
+    ref = QNetwork(net.layer_dims, net.params.copy())
+    hp = Hyperparams(hidden_dims=tuple(hidden), discount=0.9, learning_rate=0.05)
+    pool = _batch(rng, net, rng.random(slots) < done_share)
+    rows = np.arange(batch_size)
+    for step in range(3):
+        idx = rng.integers(0, slots, size=batch_size)
+        batch = ReplayBatch(
+            pool.inputs[:, idx],
+            pool.actions[idx],
+            pool.rewards[idx],
+            pool.dones[idx],
+        )
+        loss = learn_step(net, batch, rows, hp, step)
+        assert loss == two_pass_step(ref, batch, hp.discount, hp.learning_rate)
+        assert net.params.tobytes() == ref.params.tobytes()
+        assert net._grad.tobytes() == ref._grad.tobytes()
 
 
 @pytest.mark.parametrize(
