@@ -108,8 +108,11 @@ def covariance_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     (the agent's rolling windows); the result is ``(N, N)`` or
     ``(K, N, N)``. This is the one covariance in the package: the steps
     ``np.cov`` runs (copy, column means, centre, ``x.T @ x``, times
-    ``1/(T-1)``), called directly so that they apply to a whole stack and
-    give ``np.cov``'s bits for every table in it.
+    ``1/(T-1)``), called directly so that they apply to a whole stack.
+    Each table of a stack gets ``np.cov``'s bits only under a given
+    OpenBLAS kernel: the stacked and the 2-D ``x.T @ x`` may reach
+    different BLAS routines, whose summation orders agree in the SkylakeX
+    and Haswell kernels but not in Prescott's.
 
     Raises :class:`NonFiniteError` if an entry overflows float64, naming
     the first column involved (in the first table of a stack that has one)
@@ -148,14 +151,6 @@ def correlation_values(values: np.ndarray, names: Sequence[str]) -> np.ndarray:
     diagonal = np.arange(corr.shape[-1])
     corr[..., diagonal, diagonal] = 1.0
     return corr
-
-
-def covariance(returns: ReturnTable) -> np.ndarray:
-    return covariance_values(returns.values, returns.tickers)
-
-
-def correlation(returns: ReturnTable) -> np.ndarray:
-    return correlation_values(returns.values, returns.tickers)
 
 
 def annualize(daily: np.ndarray, trading_days: int) -> tuple[float, float]:

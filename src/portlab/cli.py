@@ -82,7 +82,7 @@ def cmd_mvp(config: RunConfig) -> None:
     data = _PreparedData(config)
     out = _ensure_out(config)
     # covariance first: its overflow is reported before the annual mean's
-    cov = analytics.covariance(data.train_returns)
+    cov = analytics.covariance_values(data.train_returns.values, data.tickers)
     cloud = mvp.sample_portfolios(
         analytics.annual_mean(data.train_returns, config.trading_days),
         cov,

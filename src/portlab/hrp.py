@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import VARIANCE_FLOOR, ReturnTable, correlation, covariance
+from .analytics import VARIANCE_FLOOR, ReturnTable, correlation_values, covariance_values
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,10 @@ def recursive_bisection(cov: np.ndarray, order: list[int]) -> np.ndarray:
 
 def hrp_weights(returns: ReturnTable) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline from a return table to the merge tree and the HRP weights."""
-    tree = single_linkage(codistance(corr_distance(correlation(returns), returns.tickers)))
-    return tree, recursive_bisection(covariance(returns), quasi_diag_order(tree))
+    corr = correlation_values(returns.values, returns.tickers)
+    tree = single_linkage(codistance(corr_distance(corr, returns.tickers)))
+    cov = covariance_values(returns.values, returns.tickers)
+    return tree, recursive_bisection(cov, quasi_diag_order(tree))
 
 
 def linkage_to_records(tree: np.ndarray) -> list[dict]:

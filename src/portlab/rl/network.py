@@ -109,26 +109,7 @@ def qnet_init(n_assets: int, hp: Hyperparams, rng: np.random.Generator) -> QNetw
 
 def qnet_forward(net: QNetwork, features: np.ndarray) -> np.ndarray:
     """Action values for a single ``(n_inputs,)`` feature vector."""
-    return _forward_batch(net, features[None, :])[0]
-
-
-def _forward_batch(
-    net: QNetwork, x: np.ndarray, hidden: list[np.ndarray] | None = None
-) -> np.ndarray:
-    """Output rows for the input rows ``x``; appends each hidden activation to ``hidden``.
-
-    ``x`` is ``(rows, n_inputs)`` or a stack of such matrices.
-    """
-    a = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        a = a @ w
-        a += b
-        np.maximum(a, 0.0, out=a)
-        if hidden is not None:
-            hidden.append(a)
-    a = a @ net.weights[-1]
-    a += net.biases[-1]
-    return a
+    return qnet_layers(net, features[None, :])[-1][0]
 
 
 def qnet_layers(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
@@ -137,7 +118,15 @@ def qnet_layers(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
     ``x`` is ``(rows, n_inputs)`` or a stack of such matrices.
     """
     layers = [x]
-    layers.append(_forward_batch(net, x, layers))
+    a = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
+        layers.append(a)
+    a = a @ net.weights[-1]
+    a += net.biases[-1]
+    layers.append(a)
     return layers
 
 

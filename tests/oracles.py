@@ -33,7 +33,6 @@ from portlab.rl.agent import ReplayBatch
 from portlab.rl.network import (
     QNetwork,
     _backprop,
-    _forward_batch,
     _layer_views,
     qnet_layers,
     td_targets,
@@ -139,9 +138,8 @@ def two_pass_step(
     the states alone for the loss and its gradients. Leaves the net's
     gradient vector scaled by ``learning_rate``, as the training step does.
     """
-    targets = td_targets(batch, _forward_batch(net, batch.next_states), discount)
-    layers = [batch.states]
-    layers.append(_forward_batch(net, batch.states, layers))
+    targets = td_targets(batch, qnet_layers(net, batch.next_states)[-1], discount)
+    layers = qnet_layers(net, batch.states)
     loss = _backprop(net, layers, (np.arange(targets.shape[0]), batch.actions), targets)
     net._grad *= learning_rate
     net.params -= net._grad

@@ -1,18 +1,23 @@
-"""CLI behaviour end to end.
+"""CLI behaviour end to end; this file is the one list of the CLI's bad inputs.
 
 Bad input (a malformed saved model or report, a report of another phase,
 two test reports of one method, no test report, an out-of-range config
-value, an allocation too large for the address space, a file that is
-not UTF-8, an empty or short price file, a cell beyond the csv module's
-field limit, an empty or repeated ticker name, an empty output directory,
-prices whose returns or statistics overflow) gives exit 1 and one
-``error:`` line; ``import portlab.cli`` and ``compare`` load no numpy,
-``mvp`` and ``hrp`` load no module of the agent, and ``hrp`` loads
-neither ``portlab.mvp`` nor ``portlab.floatcsv``; a full
-pipeline run writes the same bytes every time; the configured ``trading_days`` reaches the
-agent's reward; the bundled fixture regenerates byte for byte.
+value, a number or date outside the one grammar of
+:mod:`portlab.numtext`, an allocation too large for the address space, a
+file that is not UTF-8, an empty or short price file, a cell beyond the
+csv module's field limit, an empty or repeated ticker name, an empty
+output directory, prices whose returns or statistics overflow) gives
+exit 1 and one ``error:`` line, and ``rl-train`` saves no model. Every
+warning fails a test here, since a real process would print it to
+stderr. ``import portlab.cli`` and ``compare`` load no numpy, ``mvp``
+and ``hrp`` load no module of the agent, and ``hrp`` loads neither
+``portlab.mvp`` nor ``portlab.floatcsv``; a full pipeline run writes the
+same bytes every time in one process (the bytes follow the OpenBLAS
+kernel, see ``analytics.covariance_values``, so they are compared run
+with run, never with a recorded digest); the configured ``trading_days``
+reaches the agent's reward; the bundled fixture regenerates byte for
+byte.
 """
-
 from __future__ import annotations
 
 import io
@@ -38,7 +43,24 @@ from portlab.market_data import PriceTable, write_prices
 from portlab.rl.network import qnet_init, save_qnetwork
 from portlab.rl.params import Hyperparams
 
+# a real process prints a RuntimeWarning to stderr, which the one-line
+# error promise does not allow; pytest would only collect it
+pytestmark = pytest.mark.filterwarnings("error")
+
 FIXTURE_ASSETS = 10
+
+
+def _error_line(capsys, command: str, config, out) -> str:
+    """Run ``command``, which must exit 1 with one ``error:`` line; return that line.
+
+    ``out`` is the ``--out`` value, or None to pass no ``--out``.
+    """
+    argv = [command, "--config", str(config)] + ([] if out is None else ["--out", str(out)])
+    code = cli.main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 @pytest.fixture
@@ -63,11 +85,6 @@ def _saved_model_lines(n_assets: int, out) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _rl_eval(config, out, capsys) -> tuple[int, list[str]]:
-    code = cli.main(["rl-eval", "--config", str(config), "--out", str(out)])
-    return code, capsys.readouterr().err.splitlines()
-
-
 @pytest.mark.parametrize(
     "mangle",
     [
@@ -90,26 +107,20 @@ def test_rl_eval_reports_malformed_model(run_dir, capsys, mangle):
     config, out = run_dir
     lines = mangle(_saved_model_lines(FIXTURE_ASSETS, out))
     (out / "rl_model.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, err = _rl_eval(config, out, capsys)
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert "rl_model.txt" in err[0]
+    assert "rl_model.txt" in _error_line(capsys, "rl-eval", config, out)
 
 
 def test_rl_eval_reports_model_for_other_asset_count(run_dir, capsys):
     config, out = run_dir
     _saved_model_lines(FIXTURE_ASSETS - 1, out)
-    code, err = _rl_eval(config, out, capsys)
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"{FIXTURE_ASSETS} assets" in err[0]
+    assert f"{FIXTURE_ASSETS} assets" in _error_line(capsys, "rl-eval", config, out)
 
 
 def test_rl_eval_accepts_well_formed_model(run_dir, capsys):
     config, out = run_dir
     _saved_model_lines(FIXTURE_ASSETS, out)
-    code, err = _rl_eval(config, out, capsys)
-    assert (code, err) == (0, [])
+    assert cli.main(["rl-eval", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     assert (out / "report_RL_test.json").exists()
 
 
@@ -206,12 +217,9 @@ def test_compare_reports_malformed_report(run_dir, capsys, mangle, message):
     config, out = run_dir
     path = _saved_report(out)
     path.write_text(mangle(path.read_text(encoding="utf-8")), encoding="utf-8")
-    code = cli.main(["compare", "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "report_MVP_test.json" in err[0]
-    assert message in err[0]
+    err = _error_line(capsys, "compare", config, out)
+    assert "report_MVP_test.json" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -233,9 +241,7 @@ def test_compare_needs_one_test_report_per_method(run_dir, capsys, names, phase,
     path.unlink()
     for name in names:
         (out / name).write_text(text, encoding="utf-8")
-    code = cli.main(["compare", "--config", str(config), "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert _error_line(capsys, "compare", config, out) == f"error: {message}"
 
 
 @pytest.mark.parametrize(
@@ -259,11 +265,7 @@ def test_non_utf8_input_gives_one_line_error(tmp_path, fixture_csv, capsys, comm
     target = out / name if (out / name).exists() else tmp_path / name
     data = target.read_bytes()
     target.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 :])
-    code = cli.main([command, "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert str(target) in err[0]
+    assert str(target) in _error_line(capsys, command, config, out)
 
 
 def _with_cell(line: int, column: int, cell: str):
@@ -295,6 +297,12 @@ def _with_cell(line: int, column: int, cell: str):
         # 2018-01-02, the fixture's own dates), not on 3.10
         (_with_cell(2, 0, "20180101"), "row 2: malformed date '20180101'"),
         (_with_cell(3, 0, "2018-W01-2"), "row 3: malformed date '2018-W01-2'"),
+        # float() reads these as 1000.0 and 123.0
+        (_with_cell(3, 1, "1_000"), "row 3: non-numeric price '1_000' for STK0"),
+        (
+            _with_cell(3, 1, "\u0661\u0662\u0663"),
+            "row 3: non-numeric price '\u0661\u0662\u0663' for STK0",
+        ),
     ],
     ids=[
         "long-ticker",
@@ -304,6 +312,8 @@ def _with_cell(line: int, column: int, cell: str):
         "empty-line-before-a-bad-cell",
         "basic-form-date",
         "week-form-date",
+        "underscore-price",
+        "arabic-indic-price",
     ],
 )
 def test_bad_price_file_gives_one_line_error(tmp_path, fixture_csv, capsys, edit, message):
@@ -312,9 +322,7 @@ def test_bad_price_file_gives_one_line_error(tmp_path, fixture_csv, capsys, edit
     prices.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     config = tmp_path / "run.cfg"
     _write_config(config, prices)
-    code = cli.main(["hrp", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {prices}: {message}"]
+    assert _error_line(capsys, "hrp", config, tmp_path / "out") == f"error: {prices}: {message}"
 
 
 def _hrp_with_extra_column(tmp_path, fixture_csv, capsys, ticker: str) -> tuple[Path, str]:
@@ -328,12 +336,9 @@ def _hrp_with_extra_column(tmp_path, fixture_csv, capsys, ticker: str) -> tuple[
     config = tmp_path / "run.cfg"
     _write_config(config, prices)
     out = tmp_path / "out"
-    code = cli.main(["hrp", "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    err = _error_line(capsys, "hrp", config, out)
     assert not out.exists()
-    return prices, err[0]
+    return prices, err
 
 
 def test_empty_ticker_name_gives_one_line_error(tmp_path, fixture_csv, capsys):
@@ -366,11 +371,8 @@ def test_config_date_in_another_iso_form_gives_one_line_error(
         f"data = {fixture_csv}\ntrain_end = {value}\ntest_start = 2019-05-06\n",
         encoding="utf-8",
     )
-    code = cli.main(["hrp", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {config}:2: bad value '{value}' for key 'train_end'"
-    ]
+    err = _error_line(capsys, "hrp", config, tmp_path / "out")
+    assert err == f"error: {config}:2: bad value '{value}' for key 'train_end'"
     assert not (tmp_path / "out").exists()
 
 
@@ -388,11 +390,7 @@ def test_config_date_in_another_iso_form_gives_one_line_error(
 def test_mvp_reports_out_of_range_config(tmp_path, fixture_csv, capsys, line, key):
     config = tmp_path / "run.cfg"
     _write_config(config, fixture_csv, line + "\n")
-    code = cli.main(["mvp", "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert key in err[0]
+    assert key in _error_line(capsys, "mvp", config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -475,11 +473,9 @@ def test_bad_config_value_gives_one_line_error(
         monkeypatch.setenv("PLAB_SEED", seed_env)
     config = tmp_path / "run.cfg"
     _write_config(config, fixture_csv, lines)
-    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert message in err[0]
+    out = tmp_path / "out"
+    assert message in _error_line(capsys, command, config, out)
+    assert not (out / "rl_model.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -514,12 +510,8 @@ def test_empty_output_directory_gives_one_line_error(
         monkeypatch.delenv("PLAB_OUT", raising=False)
     else:
         monkeypatch.setenv("PLAB_OUT", "")
-    argv = ["hrp", "--config", str(config)] + (["--out", ""] if flag else [])
-    code = cli.main(argv)
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert f"{'--out' if flag else 'PLAB_OUT'} must name an output directory, got ''" in err[0]
+    err = _error_line(capsys, "hrp", config, "" if flag else None)
+    assert f"{'--out' if flag else 'PLAB_OUT'} must name an output directory, got ''" in err
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
@@ -635,11 +627,8 @@ def test_rl_train_refuses_to_save_a_model_that_overflowed(tmp_path, capsys):
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    code = cli.main(["rl-train", "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "non-finite network parameters" in err[0]
+    err = _error_line(capsys, "rl-train", config, out)
+    assert "non-finite network parameters" in err
     assert not (out / "rl_model.txt").exists()
 
 
@@ -667,7 +656,6 @@ def _extreme_prices(path, low: float, high: float, columns: int) -> None:
     write_prices(PriceTable(table.dates, table.tickers, closes), path)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("low", "high", "columns", "command", "message"),
     [
@@ -688,14 +676,9 @@ def test_non_finite_returns_give_one_line_error(
     out.mkdir()
     net = qnet_init(4, Hyperparams(hidden_dims=(8,)), np.random.default_rng(0))
     save_qnetwork(net, out / "rl_model.txt")
-    code = cli.main([command, "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert message in err[0]
+    assert message in _error_line(capsys, command, config, out)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("command", "message"),
     [
@@ -711,14 +694,9 @@ def test_overflowing_statistics_give_one_line_error(tmp_path, capsys, command, m
     _extreme_prices(prices, 1e-150, 1e150, 2)
     config = tmp_path / "run.cfg"
     _write_config(config, prices, "mc_samples = 100\nrl.hidden_dims = 8\n")
-    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert message in err[0]
+    assert message in _error_line(capsys, command, config, tmp_path / "out")
 
 
-@pytest.mark.filterwarnings("error")
 def test_overflowing_annual_mean_gives_one_line_error(tmp_path, capsys):
     # closes 2**-1074, 2**-57, 2**960: both returns are exactly 2**1017, so the
     # covariance is 0, but their mean times 252 overflows float64
@@ -729,24 +707,17 @@ def test_overflowing_annual_mean_gives_one_line_error(tmp_path, capsys):
     write_prices(PriceTable(dates, ("HUGE", "CALM"), closes), prices)
     config = tmp_path / "run.cfg"
     _write_config(config, prices, "mc_samples = 100\n")
-    code = cli.main(["mvp", "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "annual mean return of HUGE overflows float64" in err[0]
+    err = _error_line(capsys, "mvp", config, tmp_path / "out")
+    assert "annual mean return of HUGE overflows float64" in err
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["mvp", "hrp"])
 def test_overflowing_sharpe_gives_one_line_error(tmp_path, fixture_csv, capsys, command):
     # (return - 1e308) / volatility overflows when the volatility is below 1
     config = tmp_path / "run.cfg"
     _write_config(config, fixture_csv, "risk_free = 1e308\nmc_samples = 100\n")
-    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "Sharpe ratio" in err[0] and "overflows float64" in err[0]
+    err = _error_line(capsys, command, config, tmp_path / "out")
+    assert "Sharpe ratio" in err and "overflows float64" in err
 
 
 def _run_pipeline(config, out) -> dict[str, bytes]:

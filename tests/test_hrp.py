@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import make_returns, random_returns
 from oracles import checked_covariance, checked_linkage
 from portlab import hrp
-from portlab.analytics import correlation
+from portlab.analytics import correlation_values
 from portlab.hrp import DistanceMatrix
 
 
@@ -23,7 +23,8 @@ def dist(values):
 
 def distances(returns):
     """Correlation distances of a return table."""
-    return hrp.corr_distance(correlation(returns), returns.tickers)
+    corr = correlation_values(returns.values, returns.tickers)
+    return hrp.corr_distance(corr, returns.tickers)
 
 
 def naive_agglomeration(values: np.ndarray):
@@ -374,7 +375,7 @@ class TestHrpWeights:
         chol = np.linalg.cholesky(block)
         values = rng.normal(0, 0.01, size=(500, 6)) @ chol.T
         rets = make_returns(values[:, rng.permutation(6)])
-        corr = correlation(rets)
+        corr = correlation_values(rets.values, rets.tickers)
         tree = hrp.single_linkage(hrp.codistance(hrp.corr_distance(corr, rets.tickers)))
         order = hrp.quasi_diag_order(tree)
         reordered = np.abs(corr[np.ix_(order, order)])

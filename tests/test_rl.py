@@ -35,7 +35,7 @@ from portlab.rl.env import (
     hold_action,
     num_actions,
 )
-from portlab.rl.network import _forward_batch, qnet_forward, qnet_init
+from portlab.rl.network import qnet_forward, qnet_init, qnet_layers
 from portlab.rl.params import Hyperparams
 
 
@@ -99,9 +99,9 @@ def _reference_train(returns, hp: Hyperparams, trading_days: int):
             cum_reward += reward
             if len(buffer.items) >= hp.batch_size:
                 batch = buffer.sample(rng, hp.batch_size)
-                max_next = _forward_batch(
+                max_next = qnet_layers(
                     net, np.stack([b.next_state for b in batch])
-                ).max(axis=1)
+                )[-1].max(axis=1)
                 targets = np.array(
                     [
                         td_target(b.reward, hp.discount, m, b.done)

@@ -18,9 +18,9 @@ from portlab.errors import ModelFormatError
 from portlab.rl.agent import ReplayBatch, learn_step, write_training_log
 from portlab.rl.network import (
     QNetwork,
-    _forward_batch,
     load_qnetwork,
     qnet_init,
+    qnet_layers,
     save_qnetwork,
     td_targets,
 )
@@ -75,11 +75,11 @@ def test_td_targets_equal_scalar_rule_row_by_row():
     rng = np.random.default_rng(1)
     net = _net()
     batch = _batch(rng, net, [False, True, False, False, True, True, False, True, False])
-    max_next = _forward_batch(net, batch.next_states).max(axis=1)
+    max_next = qnet_layers(net, batch.next_states)[-1].max(axis=1)
     want = [
         td_target(r, 0.9, m, d) for r, m, d in zip(batch.rewards, max_next, batch.dones)
     ]
-    got = td_targets(batch, _forward_batch(net, batch.next_states), 0.9)
+    got = td_targets(batch, qnet_layers(net, batch.next_states)[-1], 0.9)
     assert got.dtype == np.float64
     assert np.array_equal(got, np.array(want))
     assert np.array_equal(got[batch.dones], batch.rewards[batch.dones])
@@ -133,7 +133,7 @@ def test_train_step_equals_per_layer_update_bit_for_bit():
     hp = Hyperparams(hidden_dims=(6, 5), discount=0.9, learning_rate=0.01)
     batch = _batch(rng, net, [False] * 9)
     for step in range(3):
-        targets = td_targets(batch, _forward_batch(ref, batch.next_states), 0.9)
+        targets = td_targets(batch, qnet_layers(ref, batch.next_states)[-1], 0.9)
         loss = learn_step(net, batch, np.arange(9), hp, step)
         ref_loss, grad_w, grad_b = loss_and_grads(ref, batch.states, batch.actions, targets)
         for p, g in zip(ref.weights + ref.biases, grad_w + grad_b):
